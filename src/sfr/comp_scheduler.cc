@@ -14,7 +14,8 @@ namespace chopin
 namespace
 {
 
-constexpr Bytes bytesPerPixel = kCompositionBytesPerPixel;
+/** Wire size of one composed pixel: RGBA8 color + 32-bit depth/coverage. */
+constexpr Bytes bytesPerPixel = 8;
 
 /** Local ROP cost of merging each GPU's own-region pixels. */
 void
@@ -28,8 +29,7 @@ applySelfMerge(const CompositionJob &job, const TimingParams &timing,
     }
 }
 
-} // namespace
-
+/** One whole-algorithm span on the comp_scheduler track (if tracing). */
 void
 traceComposition(const CompositionJob &job, Interconnect &net,
                  const char *algorithm, const CompositionTiming &out)
@@ -43,6 +43,8 @@ traceComposition(const CompositionJob &job, Interconnect &net,
              {{"pair_pixels", job.pairPixels()},
               {"gpus", job.num_gpus}});
 }
+
+} // namespace
 
 void
 checkCompositionJob(const CompositionJob &job, bool opaque_routing)

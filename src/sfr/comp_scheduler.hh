@@ -38,10 +38,6 @@
 namespace chopin
 {
 
-/** Wire size of one composed pixel: RGBA8 color + 32-bit depth/coverage.
- *  Shared by every composition timing algorithm (serial and epoch). */
-inline constexpr Bytes kCompositionBytesPerPixel = 8;
-
 /** Inputs of one composition phase (one group). */
 struct CompositionJob
 {
@@ -99,12 +95,6 @@ struct CompositionTiming
     Tick end = 0;               ///< all sub-images composed
     std::vector<Tick> gpu_done; ///< per-GPU completion
 };
-
-/** One whole-algorithm span on the comp_scheduler track (if tracing).
- *  Shared by the serial composers here and the epoch composers
- *  (sfr/epoch_compose.hh); coordinator-only. */
-void traceComposition(const CompositionJob &job, Interconnect &net,
-                      const char *algorithm, const CompositionTiming &out);
 
 /** Naive direct-send composition of an opaque group. */
 CompositionTiming composeOpaqueDirectSend(const CompositionJob &job,

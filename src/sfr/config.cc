@@ -42,8 +42,7 @@ SystemConfig::fingerprint() const
         .f64(cull_retention)
         .u64(static_cast<std::uint64_t>(comp_payload))
         .u64(gpupd_batch_prims)
-        .boolean(gpupd_runahead)
-        .boolean(epoch_timing);
+        .boolean(gpupd_runahead);
     return fp.value();
 }
 

@@ -3,11 +3,11 @@
  * EventHeap: the (when, seq)-ordered binary heap underlying every event
  * queue in the simulator.
  *
- * Factored out of EventQueue so the partitioned queues of the epoch engine
- * (sim/partition.hh) share the exact same ordering semantics: events pop
- * in ascending Tick order, ties broken by ascending insertion sequence
- * (deterministic FIFO). The heap is capability-agnostic — callers guard it
- * with SequentialCap or PartitionCap as appropriate.
+ * Kept apart from EventQueue so the ordering semantics stand on their own:
+ * events pop in ascending Tick order, ties broken by ascending insertion
+ * sequence (deterministic FIFO), which is what makes every simulation
+ * replayable. The heap is capability-agnostic — EventQueue guards it with
+ * its SequentialCap.
  *
  * Unlike std::priority_queue, pop() moves the entry out (no const_cast
  * workaround) and the backing vector is reservable.

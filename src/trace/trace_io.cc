@@ -45,8 +45,17 @@ class Reader
   public:
     explicit Reader(const std::string &path) : is(path, std::ios::binary)
     {
-        if (!is)
+        if (!is) {
             fail("cannot open file");
+            return;
+        }
+        is.seekg(0, std::ios::end);
+        std::streamoff end = is.tellg();
+        is.seekg(0, std::ios::beg);
+        if (!is || end < 0)
+            fail("cannot determine file size");
+        else
+            left = static_cast<std::uint64_t>(end);
     }
 
     bool ok() const { return ok_; }
@@ -72,6 +81,7 @@ class Reader
         is.read(reinterpret_cast<char *>(&v), sizeof(T));
         if (!is)
             return fail("file truncated");
+        left -= sizeof(T);
         return true;
     }
 
@@ -84,6 +94,26 @@ class Reader
                 static_cast<std::streamsize>(size));
         if (!is)
             return fail("file truncated");
+        left -= size;
+        return true;
+    }
+
+    /**
+     * Guard for a declared element count read from the file, checked
+     * before anything is allocated for it: @p count elements of at least
+     * @p min_bytes encoded bytes each must fit in the rest of the file.
+     * Without it a few corrupt bytes could demand gigabytes.
+     */
+    bool
+    fits(std::uint64_t count, std::uint64_t min_bytes, const char *what)
+    {
+        if (!ok_)
+            return false;
+        if (count > left / min_bytes)
+            return fail("declared " + std::to_string(count) + " " + what +
+                        " of >= " + std::to_string(min_bytes) +
+                        " bytes each, but only " + std::to_string(left) +
+                        " bytes remain");
         return true;
     }
 
@@ -95,15 +125,29 @@ class Reader
             return false;
         if (n > (1u << 20))
             return fail("unreasonable string length " + std::to_string(n));
+        if (!fits(n, 1, "string bytes"))
+            return false;
         s.assign(n, '\0');
         return getBytes(s.data(), n);
     }
 
   private:
     std::ifstream is;
+    std::uint64_t left = 0; ///< bytes not yet consumed
     bool ok_ = true;
     std::string error_;
 };
+
+/** Smallest encoded sizes of the repeated records, for Reader::fits(). */
+constexpr std::uint64_t kDrawMinBytes =
+    sizeof(DrawCommand::id) + sizeof(DrawCommand::state) +
+    sizeof(DrawCommand::model) + sizeof(DrawCommand::alpha_ref) +
+    sizeof(DrawCommand::backface_cull) + sizeof(DrawCommand::texture_rt) +
+    sizeof(std::uint64_t); // triangle count; a draw may have no triangles
+constexpr std::uint64_t kFrameKeyMinBytes =
+    sizeof(FrameKey::view_proj) + sizeof(std::uint64_t); // + override count
+constexpr std::uint64_t kOverrideBytes =
+    sizeof(std::uint32_t) + sizeof(Mat4);
 
 /** The shared per-frame payload: identical layout in v3 and the v4 base. */
 void
@@ -149,6 +193,8 @@ getFrameBody(Reader &r, FrameTrace &trace)
         return false;
     if (n_draws > (1ull << 24))
         return r.fail("unreasonable draw count " + std::to_string(n_draws));
+    if (!r.fits(n_draws, kDrawMinBytes, "draws"))
+        return false;
     trace.draws.resize(n_draws);
     for (DrawCommand &d : trace.draws) {
         if (!r.get(d.id) || !r.get(d.state) || !r.get(d.model) ||
@@ -161,6 +207,8 @@ getFrameBody(Reader &r, FrameTrace &trace)
         if (n_tris > (1ull << 28))
             return r.fail("unreasonable triangle count " +
                           std::to_string(n_tris));
+        if (!r.fits(n_tris, sizeof(Triangle), "triangles"))
+            return false;
         d.triangles.resize(n_tris);
         if (!r.getBytes(d.triangles.data(), n_tris * sizeof(Triangle)))
             return false;
@@ -190,6 +238,8 @@ getSequenceBody(Reader &r, SequenceTrace &seq)
     if (n_frames == 0 || n_frames > (1ull << 20))
         return r.fail("unreasonable frame count " +
                       std::to_string(n_frames));
+    if (!r.fits(n_frames, kFrameKeyMinBytes, "frames"))
+        return false;
     seq.frames.resize(n_frames);
     for (FrameKey &key : seq.frames) {
         if (!r.get(key.view_proj))
@@ -200,6 +250,8 @@ getSequenceBody(Reader &r, SequenceTrace &seq)
         if (n_overrides > seq.base.draws.size())
             return r.fail("unreasonable override count " +
                           std::to_string(n_overrides));
+        if (!r.fits(n_overrides, kOverrideBytes, "overrides"))
+            return false;
         key.transforms.resize(n_overrides);
         for (auto &[draw, model] : key.transforms) {
             if (!r.get(draw) || !r.get(model))

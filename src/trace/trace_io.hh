@@ -15,7 +15,9 @@
  *    the problem — on open failure, truncation, corruption, or an
  *    unsupported version, and never fatal()s: callers decide whether a bad
  *    trace file is fatal for *them*. On false the output object is
- *    valid but unspecified.
+ *    valid but unspecified. A declared count is checked against the bytes
+ *    left in the file before anything is allocated for it, so a small
+ *    corrupt file cannot demand a large allocation.
  *  - Version upgrades are automatic where meaning-preserving:
  *    loadSequence() reads a v3 single-frame file as a 1-frame sequence
  *    (sequenceFromFrame), and loadTrace() reads a v4 file whose sequence

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "comp/algorithms.hh"
@@ -123,6 +124,15 @@ struct RadixCase
 {
     std::vector<unsigned> factors;
 };
+
+// Print a case by its factors. The default printer dumps the object's
+// bytes, which puts a heap address into the test name, so the name would
+// change from one run of test discovery to the next.
+void
+PrintTo(const RadixCase &c, std::ostream *os)
+{
+    *os << ::testing::PrintToString(c.factors);
+}
 
 class RadixKTest : public ::testing::TestWithParam<RadixCase>
 {

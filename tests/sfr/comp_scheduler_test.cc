@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "sfr/comp_scheduler.hh"
 #include "util/rng.hh"
@@ -41,6 +42,15 @@ struct AlgoCase
     const char *name;
     ComposeFn fn;
 };
+
+// Print a case by its name. The default printer dumps the object's bytes,
+// which puts the function's address into the test name, so the name would
+// change from one build to the next.
+void
+PrintTo(const AlgoCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class CompositionLiveness : public ::testing::TestWithParam<AlgoCase>
 {

@@ -116,5 +116,46 @@ TEST(TraceIo, RejectsUnsupportedVersionCleanly)
     std::remove(path.c_str());
 }
 
+/** Overwrite the u64 that starts @p from_end bytes before the end of the
+ *  file at @p path. */
+void
+patchU64FromEnd(const std::string &path, long from_end, std::uint64_t value)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, -from_end, SEEK_END), 0);
+    ASSERT_EQ(std::fwrite(&value, sizeof(value), 1, f), 1u);
+    std::fclose(f);
+}
+
+TEST(TraceIo, RejectsCountsLargerThanTheFile)
+{
+    // A tiny file declaring 2^28 triangles (within the sanity cap) for its
+    // one draw: allocating for the declared count would need ~22 GB, so
+    // the loaders must compare it against the bytes left in the file and
+    // fail cleanly instead of dying in the allocator.
+    FrameTrace tiny;
+    tiny.name = "tiny";
+    tiny.draws.resize(1); // no triangles: the count is the last word
+    std::string path = ::testing::TempDir() + "/chopin_hugecount.bin";
+    ASSERT_TRUE(saveTrace(tiny, path));
+    patchU64FromEnd(path, sizeof(std::uint64_t), std::uint64_t(1) << 28);
+
+    FrameTrace t;
+    EXPECT_FALSE(loadTrace(t, path));
+    SequenceTrace seq;
+    EXPECT_FALSE(loadSequence(seq, path));
+
+    // The same for a v4 frame count: one frame with no overrides ends in
+    // (frame count, view_proj, override count).
+    ASSERT_TRUE(saveSequence(sequenceFromFrame(tiny), path));
+    patchU64FromEnd(path, sizeof(std::uint64_t) + sizeof(Mat4) +
+                              sizeof(std::uint64_t),
+                    std::uint64_t(1) << 20);
+    EXPECT_FALSE(loadSequence(seq, path));
+    EXPECT_FALSE(loadTrace(t, path));
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace chopin
