@@ -38,13 +38,13 @@ Harness::Harness(std::string description, int default_scale)
                 "benchmark: cod2 cry grid mirror nfs stal ut3 wolf or 'all'");
     cli.addFlag("csv", "true", "print a CSV block after each table");
     cli.addFlag("jobs", "0",
-                "host worker threads for the functional renderer inside one "
-                "simulation (0 = CHOPIN_JOBS env or hardware concurrency; "
-                "results are bit-identical at any value)");
+                "host worker threads of the global pool, on which a stream "
+                "run's frames simulate concurrently (0 = CHOPIN_JOBS env or "
+                "hardware concurrency; results are bit-identical at any "
+                "value)");
     cli.addFlag("sweep-jobs", "0",
                 "concurrent scenarios (whole simulations) executed by the "
-                "sweep engine (0 = hardware concurrency, 1 = serial; inner "
-                "rendering runs serial while scenarios are parallel; "
+                "sweep engine (0 = hardware concurrency, 1 = serial; "
                 "results are bit-identical at any value)");
     const char *cache_env = std::getenv("CHOPIN_RESULT_CACHE");
     cli.addFlag("cache", cache_env == nullptr ? "" : cache_env,

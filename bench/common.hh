@@ -9,10 +9,9 @@
  *   --gpus=N       GPU count where the figure does not sweep it
  *   --bench=X      restrict to one benchmark (default: all eight)
  *   --csv=B        also print a machine-readable CSV block (default true)
- *   --jobs=N       inner renderer host threads (per simulation)
- *   --sweep-jobs=N outer concurrent scenarios (see core/sweep.hh; inner
- *                  rendering is forced serial while scenarios run in
- *                  parallel)
+ *   --jobs=N       global pool threads: concurrent frames of a stream run
+ *                  (a single frame is serial host code)
+ *   --sweep-jobs=N concurrent scenarios (see core/sweep.hh)
  *   --cache=DIR    on-disk content-addressed result cache (default: the
  *                  CHOPIN_RESULT_CACHE environment variable; empty = off)
  *   --trace-out=F  write a Chrome trace-event JSON timeline of one sample

@@ -1,14 +1,13 @@
 /**
  * @file
- * Wall-clock performance harness for the host-parallel rendering engine.
+ * Wall-clock performance harness for the rendering engine.
  *
  * Renders each Table III benchmark frame under SingleGpu, Duplication,
- * GPUpd, CHOPIN and CHOPIN+CompSched twice: once with --jobs=1 (serial) and
- * once with the requested job count. For every (benchmark, scheme) pair it
- * asserts that the frame hash, full surface content hash, simulated cycle
- * count and all functional totals are identical — host parallelism must not
- * perturb the simulation — and reports ns/frame, Mtris/s and the
- * serial-over-parallel speedup, plus the geometric-mean speedup.
+ * GPUpd, CHOPIN and CHOPIN+CompSched, best-of --repeat, and reports
+ * ns/frame and Mtris/s with each frame's hash and simulated cycle count.
+ * A frame is serial host code, so the frame series has a single leg; the
+ * hashes and cycles are what the forced-scalar CI leg compares across
+ * builds (bench_json.py --compare).
  *
  * Unlike the fig* harnesses this measures *host* wall-clock time
  * (std::chrono), not simulated cycles; the simulated results are the
@@ -54,7 +53,6 @@
 namespace
 {
 
-using chopin::FrameAccounting;
 using chopin::FrameResult;
 
 /** Wall-clock nanoseconds of one invocation of @p fn (steady clock). */
@@ -70,26 +68,10 @@ elapsedNs(Fn &&fn)
             .count());
 }
 
-/** Assert that two runs of one configuration are simulation-identical:
- *  every registered metric, not a hand-picked subset. */
-void
-checkIdentical(const FrameResult &serial, const FrameResult &parallel,
-               const std::string &what)
-{
-    const FrameAccounting &a = serial;
-    const FrameAccounting &b = parallel;
-    if (chopin::metricsEqual(a, b))
-        return;
-    std::string names;
-    for (const std::string &n : chopin::metricsDiff(a, b))
-        names += (names.empty() ? "" : ", ") + n;
-    chopin_assert(false, what, ": metrics differ between --jobs=1 and "
-                  "--jobs=N: ", names);
-}
-
-/** Same idea for a whole stream run: every registered stream metric (which
- *  folds the per-frame hashes and completion ticks via the sequence hash)
- *  must be identical between the serial and parallel legs. */
+/** Assert that two stream runs are simulation-identical: every registered
+ *  stream metric (which folds the per-frame hashes and completion ticks
+ *  via the sequence hash) must match between the serial and parallel
+ *  legs. */
 void
 checkIdenticalStream(const chopin::SequenceResult &serial,
                      const chopin::SequenceResult &parallel,
@@ -111,9 +93,7 @@ struct Measurement
     std::string bench;
     std::string scheme;
     std::uint64_t tris = 0;
-    double ns_serial = 0.0;
-    double ns_parallel = 0.0;
-    double speedup = 0.0;
+    double ns = 0.0;
     std::uint64_t frame_hash = 0;
     std::uint64_t cycles = 0;
 };
@@ -268,8 +248,7 @@ main(int argc, char **argv)
     using namespace chopin;
     using namespace chopin::bench;
 
-    Harness h("Wall-clock frame rendering: serial vs parallel host engine",
-              8);
+    Harness h("Wall-clock frame rendering and frame-stream pipeline", 8);
     h.addFlag("repeat", "3", "timed repetitions per configuration (best-of)");
     h.addFlag("out", "BENCH_frame.json",
               "JSON summary path (empty = don't write)");
@@ -278,7 +257,8 @@ main(int argc, char **argv)
     h.parse(argc, argv);
 
     // parse() applied --jobs (default: CHOPIN_JOBS env or hardware
-    // concurrency); remember it before the serial passes override it.
+    // concurrency): the parallel leg of the stream series. Remember it
+    // before the serial leg overrides it.
     unsigned jobs_parallel = globalJobs();
     int repeat = std::max(1, static_cast<int>(h.flags().getInt("repeat")));
     std::string out_path = h.flags().getString("out");
@@ -292,11 +272,8 @@ main(int argc, char **argv)
                               Scheme::Gpupd, Scheme::Chopin,
                               Scheme::ChopinCompSched};
 
-    TextTable table({"benchmark", "scheme", "ktris", "ns/frame j1",
-                     "ns/frame j" + std::to_string(jobs_parallel),
-                     "Mtris/s", "speedup"});
+    TextTable table({"benchmark", "scheme", "ktris", "ns/frame", "Mtris/s"});
     std::vector<Measurement> measurements;
-    std::vector<double> speedups;
 
     for (const std::string &name : h.benchmarks()) {
         const FrameTrace &tr = h.trace(name);
@@ -312,54 +289,28 @@ main(int argc, char **argv)
             m.bench = name;
             m.scheme = toString(scheme);
             m.tris = tris;
-
-            FrameResult serial;
-            FrameResult parallel;
-            m.ns_serial = std::numeric_limits<double>::infinity();
-            m.ns_parallel = std::numeric_limits<double>::infinity();
+            m.ns = std::numeric_limits<double>::infinity();
 
             // Direct runScheme on purpose: this harness measures the wall
             // clock of the computation itself, so memoized/cached results
             // would defeat the measurement.
-            setGlobalJobs(1);
+            FrameResult r;
             for (int rep = 0; rep < repeat; ++rep) {
                 double ns = elapsedNs([&] {
-                    serial = runScheme( // chopin-lint: allow(bench-runscheme)
+                    r = runScheme( // chopin-lint: allow(bench-runscheme)
                         scheme, cfg, tr);
                 });
-                m.ns_serial = std::min(m.ns_serial, ns);
+                m.ns = std::min(m.ns, ns);
             }
-
-            setGlobalJobs(jobs_parallel);
-            for (int rep = 0; rep < repeat; ++rep) {
-                double ns = elapsedNs([&] {
-                    parallel = runScheme( // chopin-lint: allow(bench-runscheme)
-                        scheme, cfg, tr);
-                });
-                m.ns_parallel = std::min(m.ns_parallel, ns);
-            }
-
-            checkIdentical(serial, parallel, name + "/" + m.scheme);
-            m.speedup = m.ns_parallel > 0.0 ? m.ns_serial / m.ns_parallel
-                                            : 1.0;
-            m.frame_hash = serial.frame_hash;
-            m.cycles = serial.cycles;
+            m.frame_hash = r.frame_hash;
+            m.cycles = r.cycles;
             measurements.push_back(m);
-            speedups.push_back(m.speedup);
 
-            table.addRow({name, m.scheme,
-                          std::to_string(tris / 1000),
-                          formatDouble(m.ns_serial, 0),
-                          formatDouble(m.ns_parallel, 0),
-                          formatDouble(mtrisPerSecond(tris, m.ns_parallel),
-                                       2),
-                          formatDouble(m.speedup, 2) + "x"});
+            table.addRow({name, m.scheme, std::to_string(tris / 1000),
+                          formatDouble(m.ns, 0),
+                          formatDouble(mtrisPerSecond(tris, m.ns), 2)});
         }
     }
-
-    double gmean_speedup = gmean(speedups);
-    table.addRow({"GMean", "-", "-", "-", "-", "-",
-                  formatDouble(gmean_speedup, 2) + "x"});
     h.emit(table);
 
     double event_queue_ns = measureEventQueueNs(repeat);
@@ -499,7 +450,6 @@ main(int argc, char **argv)
         w.field("gpus", h.gpus());
         w.field("jobs_parallel", jobs_parallel);
         w.field("repeat", repeat);
-        w.field("gmean_speedup", gmean_speedup);
         w.field("event_queue_ns_per_event", event_queue_ns);
         w.field("raster_speedup", raster_speedup);
         w.field("raster_ns_per_pixel", raster_ns_per_pixel);
@@ -523,10 +473,8 @@ main(int argc, char **argv)
             w.field("bench", m.bench);
             w.field("scheme", m.scheme);
             w.field("tris", m.tris);
-            w.field("ns_frame_serial", m.ns_serial);
-            w.field("ns_frame_parallel", m.ns_parallel);
-            w.field("mtris_per_s", mtrisPerSecond(m.tris, m.ns_parallel));
-            w.field("speedup", m.speedup);
+            w.field("ns_frame_serial", m.ns);
+            w.field("mtris_per_s", mtrisPerSecond(m.tris, m.ns));
             w.field("frame_hash", m.frame_hash);
             w.field("cycles", m.cycles);
             w.endObject();
@@ -539,11 +487,12 @@ main(int argc, char **argv)
 
     if (!stream_out_path.empty()) {
         // Standalone stream dump, same top-level contract as the main one
-        // (results / gmean_speedup / jobs_parallel) so bench_json.py loads,
-        // reports, gates and --compares it unchanged. One row per stream
-        // scheme; frame_hash carries the sequence hash and cycles the
-        // stream makespan, so --compare doubles as the cross-run (and
-        // cross-build) stream determinism check.
+        // (results / jobs_parallel, plus gmean_speedup over the stream
+        // schemes) so bench_json.py loads, reports, gates and --compares it
+        // unchanged. One row per stream scheme; frame_hash carries the
+        // sequence hash and cycles the stream makespan, so --compare
+        // doubles as the cross-run (and cross-build) stream determinism
+        // check.
         std::ofstream out(stream_out_path);
         chopin_assert(out.good(), "cannot write ", stream_out_path);
         JsonWriter w(out);

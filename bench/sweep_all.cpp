@@ -333,7 +333,7 @@ main(int argc, char **argv)
     std::vector<FigureTimes> times;
 
     // --- Phase 1: cold serial (the baseline) -----------------------------
-    // Fresh runner, scenarios serial, inner rendering serial, cache reads
+    // Fresh runner, scenarios and stream frames serial, cache reads
     // disabled; everything is computed and stored.
     setGlobalJobs(1);
     SweepOptions cold_opts;
@@ -363,9 +363,10 @@ main(int argc, char **argv)
 
     // --- Phase 2: warm parallel ------------------------------------------
     // Fresh runner (empty memo) on the same cache directory,
-    // scenario-parallel; inner rendering is forced serial while scenarios
-    // run in parallel (ScenarioRegion), so --jobs only matters at
-    // --sweep-jobs=1.
+    // scenario-parallel. A frame is serial host code; --jobs sizes the
+    // global pool that a stream scenario's frames fan out on, which only
+    // happens at --sweep-jobs=1 (inside a parallel scenario they run
+    // inline, ScenarioRegion).
     setGlobalJobs(inner_jobs);
     SweepOptions warm_opts;
     warm_opts.sweep_jobs = sweep_jobs;

@@ -4,25 +4,12 @@
 
 #include "util/check.hh"
 #include "util/log.hh"
-#include "util/thread_pool.hh"
 
 namespace chopin
 {
 
 namespace
 {
-
-/**
- * Row grain for parallel pixel loops: enough rows per task that the merge
- * arithmetic dominates scheduling overhead (~32k pixels). parallelFor runs
- * serially when the range is too small to split at this grain.
- */
-std::size_t
-rowGrain(int width)
-{
-    return std::max<std::size_t>(
-        1, 32768 / static_cast<std::size_t>(std::max(1, width)));
-}
 
 void
 checkInputs(std::span<const DepthImage> subs)
@@ -45,29 +32,19 @@ account(CompositionTraffic *traffic, Bytes bytes)
     traffic->transfers += 1;
 }
 
-/**
- * Compose rows [y0, y1) of @p src into @p dst. Row-parallel: every pixel's
- * result depends only on that pixel of @p dst and @p src, so disjoint row
- * chunks are independent and the outcome is schedule-invariant.
- */
+/** Compose rows [y0, y1) of @p src into @p dst. */
 void
 composeRows(DepthImage &dst, const DepthImage &src, DepthFunc func, int y0,
             int y1)
 {
-    std::size_t rows = y1 > y0 ? static_cast<std::size_t>(y1 - y0) : 0;
-    globalPool().parallelFor(
-        rows, rowGrain(dst.width()),
-        [&, y0](std::size_t begin, std::size_t end) {
-            for (std::size_t r = begin; r < end; ++r) {
-                int y = y0 + static_cast<int>(r);
-                for (int x = 0; x < dst.width(); ++x) {
-                    OpaquePixel cur = dst.at(x, y);
-                    OpaquePixel in = src.at(x, y);
-                    if (opaqueWins(func, in, cur))
-                        dst.set(x, y, in);
-                }
-            }
-        });
+    for (int y = y0; y < y1; ++y) {
+        for (int x = 0; x < dst.width(); ++x) {
+            OpaquePixel cur = dst.at(x, y);
+            OpaquePixel in = src.at(x, y);
+            if (opaqueWins(func, in, cur))
+                dst.set(x, y, in);
+        }
+    }
 }
 
 } // namespace
@@ -171,14 +148,12 @@ composeBinarySwap(std::span<const DepthImage> subs, DepthFunc func,
         }
     }
 
-    // Gather: every rank owns a disjoint band of the final image, so the
-    // per-rank copies can run concurrently.
+    // Gather: every rank owns a disjoint band of the final image.
     DepthImage result(w, h);
-    globalPool().parallelFor(n, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i)
         for (int y = band_y0[i]; y < band_y1[i]; ++y)
             for (int x = 0; x < w; ++x)
                 result.set(x, y, work[i].at(x, y));
-    });
     return result;
 }
 
@@ -250,11 +225,10 @@ composeRadixK(std::span<const DepthImage> subs, DepthFunc func,
     }
 
     DepthImage result(w, h);
-    globalPool().parallelFor(n, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i)
         for (int y = band_y0[i]; y < band_y1[i]; ++y)
             for (int x = 0; x < w; ++x)
                 result.set(x, y, work[i].at(x, y));
-    });
     return result;
 }
 
@@ -271,22 +245,13 @@ composeTransparentLayers(std::span<const Image> layers, BlendOp op,
     for (const Image &l : layers)
         chopin_assert(l.width() == w && l.height() == h);
 
-    // Row-parallel with a layer-serial inner loop: each pixel still folds
-    // the layers in [lo, hi) order, so the float arithmetic sequence per
-    // pixel — and therefore the result — matches the serial reduce exactly.
     auto reduce = [&](std::size_t lo, std::size_t hi) {
         Image acc(w, h, transparentIdentity(op));
-        globalPool().parallelFor(
-            static_cast<std::size_t>(h), rowGrain(w),
-            [&](std::size_t yb, std::size_t ye) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    for (std::size_t y = yb; y < ye; ++y)
-                        for (int x = 0; x < w; ++x) {
-                            int yi = static_cast<int>(y);
-                            acc.at(x, yi) = mergeTransparent(
-                                op, layers[i].at(x, yi), acc.at(x, yi));
-                        }
-            });
+        for (std::size_t i = lo; i < hi; ++i)
+            for (int y = 0; y < h; ++y)
+                for (int x = 0; x < w; ++x)
+                    acc.at(x, y) =
+                        mergeTransparent(op, layers[i].at(x, y), acc.at(x, y));
         return acc;
     };
 
@@ -298,16 +263,9 @@ composeTransparentLayers(std::span<const Image> layers, BlendOp op,
     Image back = reduce(0, split);
     Image front = reduce(split, layers.size());
     Image out(w, h);
-    globalPool().parallelFor(
-        static_cast<std::size_t>(h), rowGrain(w),
-        [&](std::size_t yb, std::size_t ye) {
-            for (std::size_t y = yb; y < ye; ++y)
-                for (int x = 0; x < w; ++x) {
-                    int yi = static_cast<int>(y);
-                    out.at(x, yi) = mergeTransparent(op, front.at(x, yi),
-                                                     back.at(x, yi));
-                }
-        });
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            out.at(x, y) = mergeTransparent(op, front.at(x, y), back.at(x, y));
     return out;
 }
 

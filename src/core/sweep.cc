@@ -1,5 +1,6 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -79,14 +80,21 @@ constexpr std::uint32_t resultEndMagic = 0x444e4552; // "ENDR"
 
 /** Reader that fails soft: every get() after a short read returns false
  *  and poisons the reader, so corrupt files surface as a rejected load
- *  rather than a crash or a fatal(). */
+ *  rather than a crash or a fatal(). It tracks the bytes not yet consumed,
+ *  so a declared element count can be checked against the rest of the
+ *  file (fits()) before anything is allocated for it. */
 class SoftReader
 {
   public:
     explicit SoftReader(const std::string &path)
         : is(path, std::ios::binary)
     {
-        ok_flag = is.good();
+        is.seekg(0, std::ios::end);
+        std::streamoff end = is.tellg();
+        is.seekg(0, std::ios::beg);
+        ok_flag = is.good() && end >= 0;
+        if (ok_flag)
+            left = static_cast<std::uint64_t>(end);
     }
 
     bool opened() const { return ok_flag; }
@@ -96,24 +104,32 @@ class SoftReader
     get(T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        if (!ok_flag)
+        if (!ok_flag || left < sizeof(T)) {
+            ok_flag = false;
             return false;
+        }
         is.read(reinterpret_cast<char *>(&v), sizeof(T));
         ok_flag = static_cast<bool>(is);
+        left -= sizeof(T);
+        return ok_flag;
+    }
+
+    /** True iff @p count elements of at least @p min_bytes encoded bytes
+     *  each fit in the rest of the file; poisons the reader otherwise. */
+    bool
+    fits(std::uint64_t count, std::uint64_t min_bytes)
+    {
+        if (ok_flag && count > left / min_bytes)
+            ok_flag = false;
         return ok_flag;
     }
 
     /** True iff every byte has been consumed (no trailing garbage). */
-    bool
-    atEof()
-    {
-        if (!ok_flag)
-            return false;
-        return is.peek() == std::ifstream::traits_type::eof();
-    }
+    bool atEof() const { return ok_flag && left == 0; }
 
   private:
     std::ifstream is;
+    std::uint64_t left = 0; ///< bytes not yet consumed
     bool ok_flag = false;
 };
 
@@ -165,27 +181,42 @@ getImageRle(SoftReader &r, Image &img)
         return false;
     std::uint64_t pixels =
         static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h);
-    std::uint64_t runs = 0;
-    if (!r.get(runs) || runs > pixels)
+    std::uint64_t n_runs = 0;
+    if (!r.get(n_runs) || n_runs > pixels)
         return false;
-    if (pixels == 0 && runs != 0)
+
+    // Read and validate every run before allocating the image: its size
+    // is only trusted once the stored run counts cover it exactly.
+    struct Run
+    {
+        std::uint32_t count;
+        Color color;
+    };
+    if (!r.fits(n_runs, sizeof(std::uint32_t) + sizeof(Color)))
         return false;
-    img = (w > 0 && h > 0) ? Image(w, h) : Image();
-    std::vector<Color> &px = img.data();
+    std::vector<Run> runs(n_runs);
     std::uint64_t filled = 0;
-    for (std::uint64_t run = 0; run < runs; ++run) {
-        std::uint32_t count = 0;
-        Color c;
-        if (!r.get(count) || !r.get(c.r) || !r.get(c.g) || !r.get(c.b) ||
-            !r.get(c.a))
+    for (Run &run : runs) {
+        Color &c = run.color;
+        if (!r.get(run.count) || !r.get(c.r) || !r.get(c.g) ||
+            !r.get(c.b) || !r.get(c.a))
             return false;
-        if (count == 0 || filled + count > pixels)
+        if (run.count == 0 || filled + run.count > pixels)
             return false;
-        for (std::uint32_t i = 0; i < count; ++i)
-            px[filled + i] = c;
-        filled += count;
+        filled += run.count;
     }
-    return filled == pixels;
+    if (filled != pixels)
+        return false;
+
+    img = pixels > 0 ? Image(w, h) : Image();
+    std::vector<Color> &px = img.data();
+    filled = 0;
+    for (const Run &run : runs) {
+        std::fill_n(px.begin() + static_cast<std::ptrdiff_t>(filled),
+                    run.count, run.color);
+        filled += run.count;
+    }
+    return true;
 }
 
 } // namespace
@@ -239,8 +270,11 @@ ResultCache::load(std::uint64_t key, FrameResult &out) const
     if (!readMetrics(r, static_cast<FrameAccounting &>(res)))
         return CacheLoad::Rejected;
 
+    // Each DrawTiming is one 64-bit word per registered metric.
     std::uint64_t n_timings = 0;
-    if (!r.get(n_timings) || n_timings > (1ull << 26))
+    if (!r.get(n_timings) ||
+        !r.fits(n_timings, sizeof(std::uint64_t) *
+                               collectMetrics(DrawTiming{}).size()))
         return CacheLoad::Rejected;
     res.draw_timings.resize(n_timings);
     for (DrawTiming &t : res.draw_timings)
@@ -392,9 +426,9 @@ SweepRunner::runKeyed(const Scenario &s, std::uint64_t key)
 
     FrameResult computed;
     {
-        // The scenario owns a complete private simulation; inside an
-        // outer-parallel sweep this clears the in-parallel flag and forces
-        // the simulation's inner rendering serial (see thread_pool.hh).
+        // The scenario owns a complete private simulation; inside a
+        // parallel sweep this clears the in-parallel flag, making this
+        // task the simulation's coordinator (see thread_pool.hh).
         ScenarioRegion region;
         computed = runScheme(s.scheme, s.cfg, trace(s.bench));
     }

@@ -12,14 +12,13 @@
  *
  * SweepRunner exploits that in two stacked ways:
  *
- *  1. *Scenario parallelism* (the outer level): a declared grid of
- *     scenarios executes concurrently on a dedicated chopin::ThreadPool at
- *     one-simulation-per-task granularity. The outer-scenarios x
- *     inner-renderer-jobs split is explicit: when scenarios run in
- *     parallel, each simulation's inner rendering is forced serial
- *     (ThreadPool::ScenarioRegion), so the default is
- *     outer-parallel/inner-serial; with sweep_jobs = 1 the inner renderer
- *     parallelism (`--jobs`) flows through the global pool as before.
+ *  1. *Scenario parallelism*, the simulator's one level of host
+ *     parallelism: a declared grid of scenarios executes concurrently on
+ *     a dedicated chopin::ThreadPool at one-simulation-per-task
+ *     granularity, each task inside a ScenarioRegion. A simulation is
+ *     serial host code; a stream scenario's frames run inline on its
+ *     task (with sweep_jobs = 1 they fan out on the global pool
+ *     instead, see runSequence).
  *
  *  2. *Result memoization*: results are memoized in-process and optionally
  *     persisted to an on-disk content-addressed cache keyed by an
@@ -82,9 +81,8 @@ struct Scenario
 
 struct SweepOptions
 {
-    /** Outer degree of parallelism: concurrent scenarios. 0 selects
-     *  defaultJobs(); 1 runs scenarios serially on the calling thread
-     *  (inner renderer parallelism then applies as usual). */
+    /** Degree of parallelism: concurrent scenarios. 0 selects
+     *  defaultJobs(); 1 runs scenarios serially on the calling thread. */
     unsigned sweep_jobs = 0;
     /** Trace scale divisor for benchmarks named in scenarios. */
     int scale = 1;
@@ -215,8 +213,8 @@ class SweepRunner
      * executes the remainder concurrently on the runner's scenario pool
      * (sweep_jobs wide). Subsequent run() calls for any scenario in the
      * grid are memo hits. Results are bit-identical at any sweep_jobs
-     * value — scenarios are independent simulations and each one's inner
-     * parallelism contract is unchanged.
+     * value — scenarios are independent simulations, each writing only
+     * its own result slot.
      */
     void prefetch(const std::vector<Scenario> &grid);
 

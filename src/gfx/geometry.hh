@@ -133,9 +133,8 @@ void processPrimitive(const Triangle &tri, const Mat4 &mvp,
  * Slab overload: appends at @p out[count], advancing @p count. The caller
  * guarantees room for two more triangles (one primitive emits at most two
  * after near-plane clipping). This is the allocation-free form the
- * renderer's geometry stage uses — pool workers write into fixed disjoint
- * slices of a coordinator-owned arena slab, so no allocator is touched
- * inside the parallel region.
+ * renderer's geometry stage uses: it fills a worst-case arena slab sized
+ * once per draw, so no allocator is touched per primitive.
  */
 void processPrimitive(const Triangle &tri, const Mat4 &mvp,
                       const Viewport &vp, bool backface_cull,

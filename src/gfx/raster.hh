@@ -12,7 +12,7 @@
  * rasterizeTriangleInRectAs<Lanes>() — stepping `Lanes::width` pixels per
  * iteration over a SIMD lane policy from util/simd.hh. Every entry point is
  * a thin wrapper over it:
- *  - rasterizeTriangleInRect(): the binned renderer's hot path, native
+ *  - rasterizeTriangleInRect(): the renderer's hot path, native
  *    lane width, statically-typed sink;
  *  - rasterizeTriangle(): whole-viewport, type-erased sink (one erasure
  *    per *triangle*, not a std::function call per fragment);

@@ -1,11 +1,8 @@
 #include "gfx/renderer.hh"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "util/log.hh"
-#include "util/thread_pool.hh"
 
 namespace chopin
 {
@@ -18,9 +15,8 @@ makeBinGrid(const Viewport &vp, const TileGrid *grid)
 {
     BinGrid b;
     if (grid != nullptr) {
-        // Bins are the ownership grid's own tiles: the touched-tile flag of
-        // a tile then has a single writer (the bucket rasterizing it), and
-        // in partitioned rendering every bucket maps to exactly one GPU.
+        // Bins are the ownership grid's own tiles, so under partitioned
+        // rendering every bucket maps to exactly one GPU.
         b.size = grid->tileSize();
         b.nx = grid->tilesX();
         b.ny = grid->tilesY();
@@ -37,64 +33,15 @@ runGeometry(std::span<const Triangle> tris, const Mat4 &mvp,
             const Viewport &vp, bool backface_cull, RenderScratch &scratch,
             DrawStats &stats)
 {
-    std::size_t n = tris.size();
     // One slab for the worst case: a primitive emits at most two screen
     // triangles (near-plane clip of one-vertex-behind yields a quad).
     scratch.screen_tris.clear();
-    scratch.screen_tris.resizeUninitialized(2 * n);
+    scratch.screen_tris.resizeUninitialized(2 * tris.size());
     ScreenTriangle *slab = scratch.screen_tris.data();
-
-    ThreadPool &pool = globalPool();
-    if (pool.jobs() <= 1 || n < geomParallelThreshold) {
-        std::size_t count = 0;
-        for (const Triangle &tri : tris)
-            processPrimitive(tri, mvp, vp, backface_cull, slab, count,
-                             stats);
-        scratch.screen_tris.shrinkTo(count);
-        return;
-    }
-
-    // Fixed chunk boundaries -> fixed disjoint slab slices (chunk c owns
-    // [2*c*per, 2*(c+1)*per)); compacting the filled prefixes in chunk
-    // order reproduces the serial triangle order exactly. Workers touch
-    // only their slice and stats slot — never the arena.
-    std::size_t chunks = std::min<std::size_t>(
-        (n + 63) / 64, static_cast<std::size_t>(pool.jobs()) * 4);
-    std::size_t per = (n + chunks - 1) / chunks;
-    scratch.geom_counts.assign(chunks, 0);
-    scratch.geom_stats.assign(chunks, DrawStats{});
-
-    pool.parallelFor(chunks, [&](std::size_t c) {
-        ScreenTriangle *out = slab + 2 * c * per;
-        std::size_t &count = scratch.geom_counts[c];
-        DrawStats &s = scratch.geom_stats[c];
-        std::size_t hi = std::min(n, (c + 1) * per);
-        for (std::size_t i = c * per; i < hi; ++i)
-            processPrimitive(tris[i], mvp, vp, backface_cull, out, count, s);
-    });
-
-    // In-place forward compaction: dst <= src for every chunk (a chunk's
-    // write position is the sum of predecessors' counts <= 2*c*per), so
-    // memmove copies each surviving range at most once, left-to-right.
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        std::size_t count = scratch.geom_counts[c];
-        ScreenTriangle *src = slab + 2 * c * per;
-        if (count > 0 && slab + total != src)
-            std::memmove(static_cast<void *>(slab + total), src,
-                         count * sizeof(ScreenTriangle));
-        total += count;
-        stats += scratch.geom_stats[c];
-    }
-    scratch.screen_tris.shrinkTo(total);
-}
-
-std::uint64_t
-boxPixels(const ScreenTriangle &st)
-{
-    CHOPIN_DCHECK(st.boundsCached());
-    return static_cast<std::uint64_t>(st.bx1 - st.bx0 + 1) *
-           static_cast<std::uint64_t>(st.by1 - st.by0 + 1);
+    std::size_t count = 0;
+    for (const Triangle &tri : tris)
+        processPrimitive(tri, mvp, vp, backface_cull, slab, count, stats);
+    scratch.screen_tris.shrinkTo(count);
 }
 
 void
@@ -158,8 +105,8 @@ RenderScratch &
 threadRenderScratch()
 {
     // The one sanctioned piece of thread-local state outside util/: scratch
-    // ownership is *per thread by construction* (each pool worker and the
-    // coordinator get a private instance), so no capability guards it —
+    // ownership is *per thread by construction* (each sweep or stream
+    // worker gets a private instance), so no capability guards it —
     // sharing is impossible, not merely locked away. See RenderScratch's
     // ownership contract in gfx/renderer.hh.
     thread_local RenderScratch scratch; // chopin-lint: allow(global-state)
@@ -183,11 +130,8 @@ renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
     DrawStats stats;
     runGeometry(in.triangles, in.mvp, vp, in.backface_cull, scratch, stats);
 
-    // Coarse filter (raster-engine tile reject) + raster work estimate.
-    scratch.kept.reserve(scratch.screen_tris.size());
-    std::uint64_t est_pixels = 0;
-    for (std::size_t i = 0; i < scratch.screen_tris.size(); ++i) {
-        const ScreenTriangle &st = scratch.screen_tris[i];
+    PixelRect full{0, 0, vp.width - 1, vp.height - 1};
+    for (const ScreenTriangle &st : scratch.screen_tris) {
         if (!filter.mayTouch(st)) {
             // The raster engine rejects the whole primitive against this
             // GPU's tile set without fine rasterization.
@@ -195,76 +139,26 @@ renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
             stats.tris_coarse_rejected += 1;
             continue;
         }
-        scratch.kept.push_back(static_cast<std::uint32_t>(i));
-        est_pixels += boxPixels(st);
+        rasterizeTriangleInRect(st, vp, full, [&](const Fragment &frag) {
+            if (!filter.owns(frag.x, frag.y))
+                return;
+            Fragment shaded = frag;
+            if (in.texture != nullptr) {
+                // Screen-space sample: modulate with the texel under
+                // the fragment (bloom/post-processing pattern).
+                shaded.color =
+                    shaded.color * in.texture->at(frag.x, frag.y);
+                stats.frags_textured += 1;
+            }
+            std::uint64_t written_before = stats.frags_written;
+            surface.applyFragment(shaded, in.state, in.draw_id,
+                                  in.alpha_ref, stats);
+            if (stats.frags_written != written_before &&
+                touched_tiles != nullptr)
+                (*touched_tiles)[static_cast<std::size_t>(
+                    grid->tileIndexOfPixel(frag.x, frag.y))] = 1;
+        });
     }
-
-    // Applies one fragment; returns whether it was written to the surface.
-    auto shadeAndApply = [&](DrawStats &s, const Fragment &frag) -> bool {
-        if (!filter.owns(frag.x, frag.y))
-            return false;
-        Fragment shaded = frag;
-        if (in.texture != nullptr) {
-            // Screen-space sample: modulate with the texel under the
-            // fragment (bloom/post-processing pattern).
-            shaded.color = shaded.color * in.texture->at(frag.x, frag.y);
-            s.frags_textured += 1;
-        }
-        std::uint64_t written_before = s.frags_written;
-        surface.applyFragment(shaded, in.state, in.draw_id, in.alpha_ref, s);
-        return s.frags_written != written_before;
-    };
-
-    ThreadPool &pool = globalPool();
-    bool parallel_raster = pool.jobs() > 1 && scratch.kept.size() > 1 &&
-                           est_pixels >= rasterParallelThreshold;
-
-    if (!parallel_raster) {
-        PixelRect full{0, 0, vp.width - 1, vp.height - 1};
-        for (std::uint32_t idx : scratch.kept) {
-            rasterizeTriangleInRect(
-                scratch.screen_tris[idx], vp, full,
-                [&](const Fragment &frag) {
-                    if (shadeAndApply(stats, frag) && touched_tiles != nullptr)
-                        (*touched_tiles)[static_cast<std::size_t>(
-                            grid->tileIndexOfPixel(frag.x, frag.y))] = 1;
-                });
-        }
-        return stats;
-    }
-
-    // Parallel path: bucket triangles by the screen tiles their bounding
-    // boxes overlap, rasterize buckets concurrently. Buckets own disjoint
-    // pixel rectangles and keep draw order internally, so per-pixel results
-    // are bit-identical to the serial pass; per-bucket stats slots merge by
-    // integer summation (order-independent).
-    BinGrid bins = makeBinGrid(vp, grid);
-    binTriangles(scratch, bins, vp);
-
-    scratch.bucket_stats.assign(scratch.dense_bins.size(), DrawStats{});
-    pool.parallelFor(scratch.dense_bins.size(), [&](std::size_t d) {
-        std::uint32_t bin = scratch.dense_bins[d];
-        std::uint32_t lo = bin == 0 ? 0 : scratch.bin_counts[bin - 1];
-        std::uint32_t hi = scratch.bin_counts[bin];
-        PixelRect rect = bins.rectOf(static_cast<int>(bin), vp);
-        DrawStats &s = scratch.bucket_stats[d];
-        bool touched = false;
-        for (std::uint32_t k = lo; k < hi; ++k) {
-            rasterizeTriangleInRect(
-                scratch.screen_tris[scratch.bin_tris[k]], vp, rect,
-                [&](const Fragment &frag) {
-                    if (shadeAndApply(s, frag))
-                        touched = true;
-                });
-        }
-        // Bin index == grid tile index when a grid is present (bins are the
-        // grid's tiles), so this flag has a single writer.
-        if (touched && touched_tiles != nullptr)
-            (*touched_tiles)[bin] = 1;
-    });
-
-    for (const DrawStats &s : scratch.bucket_stats)
-        stats += s;
     return stats;
 }
 

@@ -24,7 +24,6 @@
 #include "sfr/partition_render.hh"
 #include "sfr/schemes.hh"
 #include "util/log.hh"
-#include "util/thread_pool.hh"
 #include "util/types.hh"
 
 namespace chopin
@@ -125,14 +124,7 @@ struct ChopinRun
         constexpr int sub = 8; // sub-tile (burst) edge in pixels
         unsigned n = ctx.cfg.num_gpus;
         CompPayload payload = ctx.cfg.comp_payload;
-        // Per-GPU fan-out: GPU g's pass reads only subs[g] and accumulates
-        // only into job slots indexed by g (subimage/self/pair rows), so
-        // the counts are schedule-invariant. ctx is captured by reference
-        // but the workers read only ctx.cfg/grid (set up before the
-        // fan-out, immutable during it) and never reach ctx.tracer.
-        // chopin-analyze: allow(partition-escape)
-        globalPool().parallelFor(n, [&](std::size_t gi) {
-            unsigned g = static_cast<unsigned>(gi);
+        for (unsigned g = 0; g < n; ++g) {
             for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
                 if (!sub_touched[g][tile])
                     continue;
@@ -176,7 +168,7 @@ struct ChopinRun
                     job.pair_pixels[static_cast<std::size_t>(g) * n +
                                     owner] += px;
             }
-        });
+        }
     }
 
     /** Distributed execution of an opaque group. */
@@ -226,52 +218,38 @@ struct ChopinRun
 
         // Functional composition: out-of-order per-pixel selection. The
         // order of sub-images is irrelevant (opaqueWins is a total order).
-        // Tile-major traversal of the serial g-major loop, parallel over
-        // tiles: tiles are disjoint pixel sets and each pixel still folds
-        // the sub-images in ascending GPU order, so the result (and each
-        // dirty flag, single-writer per tile) is schedule-invariant.
         Surface &target = ctx.rts[group.render_target];
         std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
-        globalPool().parallelFor(
-            static_cast<std::size_t>(ctx.grid.tileCount()),
-            // ctx is aliased only for grid geometry reads here; the tile
-            // workers never reach ctx.tracer.
-            // chopin-analyze: allow(partition-escape)
-            [&](std::size_t tile_index) {
-                int tile = static_cast<int>(tile_index);
-                for (unsigned g = 0; g < n; ++g) {
-                    if (!sub_touched[g][tile])
-                        continue;
-                    dirty[tile] = 1;
-                    int tx0 =
-                        (tile % ctx.grid.tilesX()) * ctx.grid.tileSize();
-                    int ty0 =
-                        (tile / ctx.grid.tilesX()) * ctx.grid.tileSize();
-                    int tx1 =
-                        std::min(tx0 + ctx.grid.tileSize(), ctx.vp.width);
-                    int ty1 =
-                        std::min(ty0 + ctx.grid.tileSize(), ctx.vp.height);
-                    for (int y = ty0; y < ty1; ++y) {
-                        for (int x = tx0; x < tx1; ++x) {
-                            if (!subs[g].writtenAt(x, y))
-                                continue;
-                            OpaquePixel in{subs[g].color().at(x, y),
-                                           subs[g].depthAt(x, y),
-                                           subs[g].writerAt(x, y)};
-                            OpaquePixel cur{target.color().at(x, y),
-                                            target.depthAt(x, y),
-                                            target.writerAt(x, y)};
-                            if (!opaqueWins(eff_func, in, cur))
-                                continue;
-                            target.color().at(x, y) = in.color;
-                            if (group.depth_test && group.depth_write)
-                                target.setDepth(x, y, in.depth);
-                            target.setWriter(x, y, in.writer);
-                            target.markWritten(x, y);
-                        }
+        for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
+            for (unsigned g = 0; g < n; ++g) {
+                if (!sub_touched[g][tile])
+                    continue;
+                dirty[tile] = 1;
+                int tx0 = (tile % ctx.grid.tilesX()) * ctx.grid.tileSize();
+                int ty0 = (tile / ctx.grid.tilesX()) * ctx.grid.tileSize();
+                int tx1 = std::min(tx0 + ctx.grid.tileSize(), ctx.vp.width);
+                int ty1 = std::min(ty0 + ctx.grid.tileSize(), ctx.vp.height);
+                for (int y = ty0; y < ty1; ++y) {
+                    for (int x = tx0; x < tx1; ++x) {
+                        if (!subs[g].writtenAt(x, y))
+                            continue;
+                        OpaquePixel in{subs[g].color().at(x, y),
+                                       subs[g].depthAt(x, y),
+                                       subs[g].writerAt(x, y)};
+                        OpaquePixel cur{target.color().at(x, y),
+                                        target.depthAt(x, y),
+                                        target.writerAt(x, y)};
+                        if (!opaqueWins(eff_func, in, cur))
+                            continue;
+                        target.color().at(x, y) = in.color;
+                        if (group.depth_test && group.depth_write)
+                            target.setDepth(x, y, in.depth);
+                        target.setWriter(x, y, in.writer);
+                        target.markWritten(x, y);
                     }
                 }
-            });
+            }
+        }
     }
 
     /** Distributed execution of a transparent group. */
@@ -287,52 +265,24 @@ struct ChopinRun
 
         // Contiguous equal-triangle chunks preserve the input order:
         // GPU g renders draws strictly earlier than GPU g+1 (Fig. 7).
-        std::uint32_t count = group.drawCount();
-        std::vector<GpuId> assignment(count, 0);
         std::uint64_t target_share =
             std::max<std::uint64_t>(1, group.triangles / n);
         std::uint64_t acc = 0;
-        GpuId cur = 0;
-        for (std::uint32_t k = 0; k < count; ++k) {
-            assignment[k] = cur;
-            acc += ctx.trace.draws[group.first_draw + k].triangleCount();
-            if (acc >= target_share * (cur + 1) && cur + 1 < n)
-                ++cur;
-        }
-
-        // Per-GPU fan-out. The assignment is precomputed (unlike opaque
-        // groups, it never reads pipeline state), so GPU g's draws render
-        // into its private sub-image on a pool worker, in draw order,
-        // filling per-draw stats slots. Rendering is purely functional —
-        // it touches neither the scheduler nor the pipes — so the serial
-        // accounting pass below reproduces the serial interleaving of
-        // accountExternal / totals / submitDraw bit-exactly.
-        std::vector<std::vector<std::uint32_t>> gpu_draws(n);
-        for (std::uint32_t k = 0; k < count; ++k)
-            gpu_draws[assignment[k]].push_back(k);
-        std::vector<DrawStats> draw_stats(count);
-        // ctx is aliased only for the immutable trace/viewport inputs;
-        // render workers never reach ctx.tracer.
-        // chopin-analyze: allow(partition-escape)
-        globalPool().parallelFor(n, [&](std::size_t g) {
-            for (std::uint32_t k : gpu_draws[g]) {
-                const DrawCommand &cmd =
-                    ctx.trace.draws[group.first_draw + k];
-                draw_stats[k] =
-                    renderDraw(subs[g], ctx.vp, makeInput(cmd),
-                               RenderFilter{}, &sub_touched[g], &ctx.grid);
-            }
-        });
-
+        GpuId gpu = 0;
         Tick group_start = t;
-        for (std::uint32_t k = 0; k < count; ++k) {
-            const DrawCommand &cmd = ctx.trace.draws[group.first_draw + k];
-            GpuId g = assignment[k];
-            sched.accountExternal(g, cmd.triangleCount());
-            ctx.totals += draw_stats[k];
-            ctx.pipes[g].submitDraw(cmd.id,
-                                    ctx.applyCullRetention(draw_stats[k]), t);
+        for (std::uint32_t i = group.first_draw; i <= group.last_draw; ++i) {
+            const DrawCommand &cmd = ctx.trace.draws[i];
+            DrawStats stats =
+                renderDraw(subs[gpu], ctx.vp, makeInput(cmd), RenderFilter{},
+                           &sub_touched[gpu], &ctx.grid);
+            sched.accountExternal(gpu, cmd.triangleCount());
+            ctx.totals += stats;
+            ctx.pipes[gpu].submitDraw(cmd.id, ctx.applyCullRetention(stats),
+                                    t);
             t += ctx.cfg.timing.driver_issue_cycles;
+            acc += cmd.triangleCount();
+            if (acc >= target_share * (gpu + 1) && gpu + 1 < n)
+                ++gpu;
         }
 
         CompositionJob job = makeJob(group_start);
@@ -357,44 +307,38 @@ struct ChopinRun
 
         // Functional merge: fold sub-images front (highest GPU id = latest
         // draws) to back, then apply over the background.
-        // Tile-parallel: the fold is per-pixel (front-to-back over the
-        // sub-images) and tiles are disjoint, so each tile merges
-        // independently with bit-identical float sequences.
         Surface &target = ctx.rts[group.render_target];
         std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
-        globalPool().parallelFor(
-            static_cast<std::size_t>(ctx.grid.tileCount()),
-            [&](std::size_t tile_index) {
-                int tile = static_cast<int>(tile_index);
-                bool touched = false;
-                for (unsigned g = 0; g < n && !touched; ++g)
-                    touched = sub_touched[g][tile] != 0;
-                if (!touched)
-                    return;
-                dirty[tile] = 1;
-                int tx0 = (tile % ctx.grid.tilesX()) * ctx.grid.tileSize();
-                int ty0 = (tile / ctx.grid.tilesX()) * ctx.grid.tileSize();
-                int tx1 = std::min(tx0 + ctx.grid.tileSize(), ctx.vp.width);
-                int ty1 = std::min(ty0 + ctx.grid.tileSize(), ctx.vp.height);
-                for (int y = ty0; y < ty1; ++y) {
-                    for (int x = tx0; x < tx1; ++x) {
-                        bool any = false;
-                        Color merged = transparentIdentity(op);
-                        for (int g = static_cast<int>(n) - 1; g >= 0; --g) {
-                            if (!subs[g].writtenAt(x, y))
-                                continue;
-                            any = true;
-                            merged = mergeTransparent(
-                                op, merged, subs[g].color().at(x, y));
-                        }
-                        if (!any)
+        for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
+            bool touched = false;
+            for (unsigned g = 0; g < n && !touched; ++g)
+                touched = sub_touched[g][tile] != 0;
+            if (!touched)
+                continue;
+            dirty[tile] = 1;
+            int tx0 = (tile % ctx.grid.tilesX()) * ctx.grid.tileSize();
+            int ty0 = (tile / ctx.grid.tilesX()) * ctx.grid.tileSize();
+            int tx1 = std::min(tx0 + ctx.grid.tileSize(), ctx.vp.width);
+            int ty1 = std::min(ty0 + ctx.grid.tileSize(), ctx.vp.height);
+            for (int y = ty0; y < ty1; ++y) {
+                for (int x = tx0; x < tx1; ++x) {
+                    bool any = false;
+                    Color merged = transparentIdentity(op);
+                    for (int g = static_cast<int>(n) - 1; g >= 0; --g) {
+                        if (!subs[g].writtenAt(x, y))
                             continue;
-                        target.color().at(x, y) = finalizeTransparent(
-                            op, merged, target.color().at(x, y));
-                        target.markWritten(x, y);
+                        any = true;
+                        merged = mergeTransparent(op, merged,
+                                                  subs[g].color().at(x, y));
                     }
+                    if (!any)
+                        continue;
+                    target.color().at(x, y) = finalizeTransparent(
+                        op, merged, target.color().at(x, y));
+                    target.markWritten(x, y);
                 }
-            });
+            }
+        }
     }
 };
 

@@ -84,8 +84,7 @@ struct CompositionJob
  *
  * Also asserts the sequential-ownership contract (util/sequential.hh):
  * composition timing mutates the coordinator-owned Interconnect, so no
- * compose* function may run inside a parallelFor region. The per-GPU
- * *functional* merges stay parallel; only the timing model is serial.
+ * compose* function may run inside a parallelFor region.
  */
 void checkCompositionJob(const CompositionJob &job, bool opaque_routing);
 

@@ -179,8 +179,8 @@ struct FrameAccounting
     /** FNV-1a hash of the final frame's pixel bits (frameHash(image)). */
     std::uint64_t frame_hash = 0;
     /** Full surface-state hash of render target 0 (color + depth +
-     *  written mask); stricter than frame_hash — the determinism tests and
-     *  the perf harness compare both across --jobs values. */
+     *  written mask); stricter than frame_hash — the determinism tests
+     *  compare both across runs, sweep job counts and builds. */
     std::uint64_t content_hash = 0;
 
     /** Geometry-stage share of all pipeline work (Fig. 2's metric). */

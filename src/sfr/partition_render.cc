@@ -1,7 +1,6 @@
 #include "sfr/partition_render.hh"
 
 #include "util/log.hh"
-#include "util/thread_pool.hh"
 
 namespace chopin
 {
@@ -33,9 +32,7 @@ renderDrawPartitioned(Surface &target, const Viewport &vp,
                 geom);
 
     if (charging == GeometryCharging::Duplicated) {
-        // Every GPU transforms and clips every primitive. Summed per-chunk
-        // counters equal the serial per-primitive accumulation exactly
-        // (integer addition is order-independent).
+        // Every GPU transforms and clips every primitive.
         for (unsigned g = 0; g < n; ++g) {
             out.per_gpu[g].verts_shaded += geom.verts_shaded;
             out.per_gpu[g].tris_in += geom.tris_in;
@@ -46,12 +43,10 @@ renderDrawPartitioned(Surface &target, const Viewport &vp,
     // Clipped-away primitives never reach any GPU under sort-first
     // distribution (the projection phase drops them).
 
-    // Per-triangle ownership attribution (serial: cheap per-triangle work,
-    // and the draw-order keep list feeds the binned rasterizer).
-    scratch.kept.reserve(scratch.screen_tris.size());
-    std::uint64_t est_pixels = 0;
-    for (std::size_t i = 0; i < scratch.screen_tris.size(); ++i) {
-        const ScreenTriangle &st = scratch.screen_tris[i];
+    // Per-triangle ownership attribution, then rasterization of the
+    // surviving primitive; each fragment's work lands on its pixel's owner.
+    PixelRect full{0, 0, vp.width - 1, vp.height - 1};
+    for (const ScreenTriangle &st : scratch.screen_tris) {
         std::uint64_t mask = grid.overlappedGpus(st);
         bool front = signedScreenArea2(st) > 0.0f;
         bool culled = cmd.backface_cull && !front;
@@ -83,75 +78,21 @@ renderDrawPartitioned(Surface &target, const Viewport &vp,
         }
         if (culled)
             continue;
-        scratch.kept.push_back(static_cast<std::uint32_t>(i));
-        est_pixels += boxPixels(st);
-    }
 
-    // Applies one fragment on behalf of its owner GPU; returns whether it
-    // was written to the target.
-    auto shadeAndApply = [&](DrawStats &s, const Fragment &frag) -> bool {
-        Fragment shaded = frag;
-        if (texture != nullptr) {
-            shaded.color = shaded.color * texture->at(frag.x, frag.y);
-            s.frags_textured += 1;
-        }
-        std::uint64_t written_before = s.frags_written;
-        target.applyFragment(shaded, cmd.state, cmd.id, cmd.alpha_ref, s);
-        return s.frags_written != written_before;
-    };
-
-    ThreadPool &pool = globalPool();
-    bool parallel_raster = pool.jobs() > 1 && scratch.kept.size() > 1 &&
-                           est_pixels >= rasterParallelThreshold;
-
-    if (!parallel_raster) {
-        PixelRect full{0, 0, vp.width - 1, vp.height - 1};
-        for (std::uint32_t idx : scratch.kept) {
-            rasterizeTriangleInRect(
-                scratch.screen_tris[idx], vp, full,
-                [&](const Fragment &frag) {
-                    GpuId g = grid.ownerOfPixel(frag.x, frag.y);
-                    if (shadeAndApply(out.per_gpu[g], frag) &&
-                        touched_tiles != nullptr) {
-                        (*touched_tiles)[static_cast<std::size_t>(
-                            grid.tileIndexOfPixel(frag.x, frag.y))] = 1;
-                    }
-                });
-        }
-        return out;
-    }
-
-    // Parallel path: bins are the ownership grid's own tiles (makeBinGrid
-    // with a grid), so every bucket's pixels belong to exactly one GPU —
-    // per-bucket stats accumulate into a private slot and merge into that
-    // owner afterwards, and each touched-tile flag has a single writer.
-    BinGrid bins = makeBinGrid(vp, &grid);
-    binTriangles(scratch, bins, vp);
-
-    scratch.bucket_stats.assign(scratch.dense_bins.size(), DrawStats{});
-    pool.parallelFor(scratch.dense_bins.size(), [&](std::size_t d) {
-        std::uint32_t bin = scratch.dense_bins[d];
-        std::uint32_t lo = bin == 0 ? 0 : scratch.bin_counts[bin - 1];
-        std::uint32_t hi = scratch.bin_counts[bin];
-        PixelRect rect = bins.rectOf(static_cast<int>(bin), vp);
-        DrawStats &s = scratch.bucket_stats[d];
-        bool touched = false;
-        for (std::uint32_t k = lo; k < hi; ++k) {
-            rasterizeTriangleInRect(
-                scratch.screen_tris[scratch.bin_tris[k]], vp, rect,
-                [&](const Fragment &frag) {
-                    if (shadeAndApply(s, frag))
-                        touched = true;
-                });
-        }
-        if (touched && touched_tiles != nullptr)
-            (*touched_tiles)[bin] = 1;
-    });
-
-    for (std::size_t d = 0; d < scratch.dense_bins.size(); ++d) {
-        int bin = static_cast<int>(scratch.dense_bins[d]);
-        GpuId owner = grid.ownerOfTile(bin % bins.nx, bin / bins.nx);
-        out.per_gpu[owner] += scratch.bucket_stats[d];
+        rasterizeTriangleInRect(st, vp, full, [&](const Fragment &frag) {
+            GpuId g = grid.ownerOfPixel(frag.x, frag.y);
+            DrawStats &s = out.per_gpu[g];
+            Fragment shaded = frag;
+            if (texture != nullptr) {
+                shaded.color = shaded.color * texture->at(frag.x, frag.y);
+                s.frags_textured += 1;
+            }
+            std::uint64_t written_before = s.frags_written;
+            target.applyFragment(shaded, cmd.state, cmd.id, cmd.alpha_ref, s);
+            if (s.frags_written != written_before && touched_tiles != nullptr)
+                (*touched_tiles)[static_cast<std::size_t>(
+                    grid.tileIndexOfPixel(frag.x, frag.y))] = 1;
+        });
     }
     return out;
 }

@@ -76,30 +76,22 @@ runSequence(const SequenceOptions &opt, const SystemConfig &cfg,
                                                : opt.intra_scheme;
 
     // Simulate the frames. Each frame is an independent deterministic
-    // simulation, so frames run concurrently under the sweep engine's
-    // outer-parallel/inner-serial split (ScenarioRegion); results land in
-    // pre-sized slots and the stream arithmetic below is serial, so the
-    // outcome is bit-identical at any job count. A worker materializes
-    // its frames into one scratch trace — the shared geometry is copied
-    // once per worker, never once per frame.
+    // simulation, so frames run concurrently on the global pool, each
+    // chunk inside a ScenarioRegion; results land in pre-sized slots and
+    // the stream arithmetic below is serial, so the outcome is
+    // bit-identical at any job count (at one job, or nested inside a sweep
+    // worker, parallelFor runs the chunks inline in index order). A chunk
+    // materializes its frames into one scratch trace — the shared geometry
+    // is copied once per chunk, never once per frame.
     result.frames.resize(n);
-    ThreadPool &pool = globalPool();
-    if (pool.jobs() <= 1 || n <= 1) {
+    globalPool().parallelFor(n, 1, [&](std::size_t begin, std::size_t end) {
+        ScenarioRegion region;
         FrameTrace scratch;
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t i = begin; i < end; ++i) {
             seq.materializeFrame(i, scratch);
             result.frames[i] = runScheme(scheme, group_cfg, scratch);
         }
-    } else {
-        pool.parallelFor(n, 1, [&](std::size_t begin, std::size_t end) {
-            ScenarioRegion region;
-            FrameTrace scratch;
-            for (std::size_t i = begin; i < end; ++i) {
-                seq.materializeFrame(i, scratch);
-                result.frames[i] = runScheme(scheme, group_cfg, scratch);
-            }
-        });
-    }
+    });
 
     // Stream scheduling: frame i pipelines onto group i % groups; with
     // carry-over the group frees once the frame's composition/sync tail

@@ -2,8 +2,8 @@
  * @file
  * Bump/arena allocation for per-draw transient data.
  *
- * The binned renderer produces a pile of short-lived arrays every draw —
- * screen triangles, keep lists, tile-bucket CSR — whose lifetimes all end
+ * The renderer produces a pile of short-lived arrays every draw — screen
+ * triangles, keep lists, tile-bucket CSR — whose lifetimes all end
  * together when the draw does. An @ref Arena turns those N heap round
  * trips into pointer bumps inside one retained block: allocation is a
  * cursor increment, deallocation is `reset()` once per draw, and after the
@@ -13,11 +13,9 @@
  * Ownership contract (DESIGN.md §14): an Arena is single-threaded by
  * design — no locks, no atomics. The renderer embeds one per
  * RenderScratch, which is thread-private by construction
- * (threadRenderScratch()), so the coordinator of a draw is the only
- * allocator. Pool workers inside a draw never allocate; they write into
- * slabs the coordinator carved *before* the parallelFor fan-out (see
- * runGeometry). reset() must only be called between draws, never while a
- * worker can still hold a pointer into the arena.
+ * (threadRenderScratch()), and a draw runs entirely on the thread that
+ * simulates its frame, so that thread is the arena's only user. reset()
+ * runs at the start of each draw.
  *
  * @ref ArenaVector is the std::vector-shaped façade over an arena for
  * trivially copyable element types: same clear()/reserve()/push_back()
@@ -188,9 +186,9 @@ class ArenaVector
     }
 
     /**
-     * Size to @p n without initializing new elements — for slab protocols
-     * where disjoint ranges are filled externally (e.g. parallel geometry
-     * chunks) before shrinkTo() trims to the defined prefix.
+     * Size to @p n without initializing new elements — for a worst-case
+     * slab that the caller fills front to back (e.g. runGeometry) before
+     * shrinkTo() trims it to the defined prefix.
      */
     void
     resizeUninitialized(std::size_t n)

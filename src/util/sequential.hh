@@ -4,13 +4,17 @@
  * simulator state.
  *
  * The determinism contract (DESIGN.md, "Host parallelism vs. simulated
- * parallelism") splits the process into two worlds:
+ * parallelism") gives every simulation one owner:
  *
- *  - the *coordinator* thread runs the timing model (EventQueue,
- *    Interconnect, composition schedulers, pipelines, stats tables) —
- *    strictly sequential, simulated Ticks only;
- *  - *pool workers* (ThreadPool::parallelFor) run purely functional pixel
- *    and triangle work writing disjoint caller-owned slots.
+ *  - the *coordinator* thread of a simulation runs all of it — functional
+ *    rendering and the timing model (EventQueue, Interconnect,
+ *    composition schedulers, pipelines, stats tables) alike — strictly
+ *    sequentially, in simulated Ticks;
+ *  - host parallelism runs *whole simulations* side by side (the sweep
+ *    engine's scenarios, the stream pipeline's frames). A pool task
+ *    becomes the coordinator of its own private simulation by entering a
+ *    ScenarioRegion (util/thread_pool.hh); pool-task code outside one
+ *    must not touch any simulation's timing-model objects.
  *
  * A SequentialCap member marks a class as coordinator-owned. Mutable state
  * is declared CHOPIN_GUARDED_BY(seq) and every public entry point opens
@@ -21,9 +25,10 @@
  *     members — a new method, a lambda handed to parallelFor, a helper
  *     missing the assertion — fails the -Werror=thread-safety build; and
  *  2. dynamically: CHOPIN_ASSERTs the caller is not inside a parallelFor
- *     region (ThreadPool workers set a thread-local flag), so a
- *     coordinator-owned object touched from functional parallel code
- *     aborts in Debug/RelWithDebInfo builds even under gcc.
+ *     region (ThreadPool workers set a thread-local flag that a
+ *     ScenarioRegion clears), so a coordinator-owned object touched from
+ *     pool-task code aborts in Debug/RelWithDebInfo builds even under
+ *     gcc.
  *
  * The capability is intentionally non-viral: callers never have to be
  * annotated, because the assertion (not a REQUIRES contract) establishes

@@ -1,18 +1,21 @@
 /**
  * @file
- * Host-side worker pool for the deterministic parallel rendering engine.
+ * Host-side worker pool for running whole simulations side by side.
  *
  * The simulator's *simulated* parallelism (N GPUs, pipeline stages) is
- * modelled entirely in simulated Ticks and must stay single-threaded and
- * deterministic. This pool parallelizes only the *functional* work — pixel
- * and triangle processing whose results are order-independent by
- * construction (disjoint output slots, disjoint pixel regions, commutative
- * integer counters) — so `--jobs=N` produces bit-identical images, stats
- * and cycle counts to `--jobs=1`. See DESIGN.md, "Host parallelism vs.
- * simulated parallelism".
+ * modelled entirely in simulated Ticks; one simulation (one runScheme
+ * call) is serial host code. Host parallelism has exactly one level: the
+ * sweep engine's scenarios (core/sweep.cc) and the stream pipeline's
+ * frames (sfr/sequence.cc) run as independent simulations on a pool,
+ * each inside a ScenarioRegion, writing into pre-sized result slots — so
+ * `--jobs=N` produces bit-identical images, stats and cycle counts to
+ * `--jobs=1`. See DESIGN.md, "Host parallelism vs. simulated
+ * parallelism".
  *
- * Rules (enforced by tools/lint_check.py, rule `thread`):
- *  - no raw std::thread / std::async outside this file pair;
+ * Rules (enforced by tools/lint_check.py):
+ *  - no raw std::thread / std::async outside this file pair (`thread`);
+ *  - parallelFor is called only from the two scenario-level files above
+ *    (`parallel-site`);
  *  - parallel regions write results into pre-sized, caller-owned slots
  *    (never reduce in completion order);
  *  - nested parallelFor calls from inside a worker run serially (no
@@ -110,30 +113,28 @@ unsigned defaultJobs();
 bool inParallelRegion();
 
 /**
- * RAII marker for *scenario* parallelism (the sweep engine's outer level;
- * see core/sweep.hh and DESIGN.md §9).
+ * RAII marker for a pool task that runs one whole simulation (a sweep
+ * scenario or a stream frame; see core/sweep.hh and DESIGN.md §9).
  *
  * A scenario task runs one complete, independent simulation — it constructs
  * its own EventQueue, Interconnect and surfaces, and no other thread ever
  * touches them. That satisfies the sequential-ownership contract
  * (util/sequential.hh) *per scenario*, but the thread-local
- * inParallelRegion() flag cannot see the difference between "functional
- * pixel work inside a simulation" and "a whole simulation running as a pool
- * task", so without help every coordinator-owned object would trip its
- * assertSequential() check.
+ * inParallelRegion() flag cannot tell "a whole simulation running as a
+ * pool task" from "pool-task code reaching into someone else's
+ * simulation", so without help every coordinator-owned object would trip
+ * its assertSequential() check.
  *
  * Entering a ScenarioRegion from inside a parallelFor chunk therefore
  *  1. clears the in-parallel flag for the region's lifetime — the scenario
  *     thread *is* the coordinator thread of its private simulation; and
- *  2. forces every nested parallelFor (any pool, including the global
- *     renderer pool) to run inline — the outer-scenarios x inner-renderer
- *     split is "outer parallel => inner serial", which avoids
- *     oversubscription and cross-scenario contention on the global pool
- *     while keeping results bit-identical by the engine's determinism
- *     contract.
+ *  2. forces every nested parallelFor (any pool) to run inline — a stream
+ *     run nested in a sweep scenario simulates its frames in order on the
+ *     scenario's thread instead of contending for the global pool, with
+ *     results bit-identical by the slot-writing discipline.
  *
- * Entered on the coordinator thread itself (sweep-jobs=1), it is a no-op:
- * inner renderer parallelism flows through the global pool as usual.
+ * Entered on a thread outside any parallel region (a one-job pool runs
+ * its chunks inline on the caller), it is a no-op.
  */
 class ScenarioRegion
 {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/sweep.hh"
+#include "stats/metrics.hh"
 
 namespace chopin
 {
@@ -247,6 +248,39 @@ TEST(Sweep, GarbageFileIsRejectedNotFatal)
     FrameResult out;
     EXPECT_EQ(cache.load(key, out), CacheLoad::Rejected);
     EXPECT_EQ(cache.load(0xfeedface0ull, out), CacheLoad::Miss); // absent
+}
+
+TEST(Sweep, CacheLoaderAllocatesOnlyWhatTheFileHolds)
+{
+    // A hand-written entry with a valid header that declares a
+    // 65536x65536 image (68 GB of pixels), one run, and then ends. The
+    // loader must reject it from the bytes it has: a loader that sizes the
+    // image from the declared dimensions before reading the runs throws
+    // std::bad_alloc here (or exhausts memory) instead.
+    std::string dir = freshCacheDir("oversized");
+    ResultCache cache(dir, resultCacheVersion());
+    std::uint64_t key = 0x0123456789abcdefull;
+    {
+        std::ofstream f(cache.path(key), std::ios::binary);
+        auto put = [&f](const auto &v) {
+            f.write(reinterpret_cast<const char *>(&v), sizeof v);
+        };
+        put(std::uint32_t{0x43485243}); // result-file magic "CHRC"
+        put(resultCacheVersion());
+        put(key);
+        put(static_cast<std::uint32_t>(Scheme::Chopin));
+        writeMetrics(f, FrameAccounting{});
+        put(std::uint64_t{0});      // draw timings
+        put(std::int32_t{1 << 16}); // width
+        put(std::int32_t{1 << 16}); // height
+        put(std::uint64_t{1});      // runs, none of which follow
+    }
+    ASSERT_LT(std::filesystem::file_size(cache.path(key)), 4096u);
+
+    FrameResult out;
+    CacheLoad load = CacheLoad::Hit;
+    EXPECT_NO_THROW(load = cache.load(key, out));
+    EXPECT_EQ(load, CacheLoad::Rejected);
 }
 
 TEST(Sweep, PrefetchComputesOnceThenServesMemoHits)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "sfr/schemes.hh"
 #include "trace/generator.hh"
@@ -61,6 +62,14 @@ struct OracleCase
     Scheme scheme;
     unsigned gpus;
 };
+
+/** gtest value printer: without it the parameter prints as raw bytes,
+ *  the bench pointer's address included, so ctest names vary per build. */
+void
+PrintTo(const OracleCase &c, std::ostream *os)
+{
+    *os << c.bench << "/" << toString(c.scheme) << "/" << c.gpus;
+}
 
 std::string
 caseName(const ::testing::TestParamInfo<OracleCase> &info)

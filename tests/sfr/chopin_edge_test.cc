@@ -1,44 +1,24 @@
 /**
  * @file
  * CHOPIN edge cases that collapse whole phases of the algorithm: a frame
- * with zero transparent groups (the transparent chain/tree fan-out never
- * runs) and a single-GPU system (every composition degenerates to a local
- * no-op). Both must still be bit-identical across host job counts — the
- * degenerate paths share the determinism contract of the full ones.
+ * with zero transparent groups (the transparent split and tree merge never
+ * run) and a single-GPU system (every composition degenerates to a local
+ * no-op). The degenerate paths share the image oracle of the full ones.
  */
 
 #include <gtest/gtest.h>
 
+#include "net/interconnect.hh"
+#include "sfr/grouping.hh"
 #include "sfr/schemes.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
-#include "util/thread_pool.hh"
+#include "util/image.hh"
 
 namespace chopin
 {
 namespace
 {
-
-/** Restore a deterministic single-job pool when a test exits. */
-struct ScopedJobs
-{
-    explicit ScopedJobs(unsigned jobs) { setGlobalJobs(jobs); }
-    ~ScopedJobs() { setGlobalJobs(1); }
-};
-
-void
-expectIdentical(const FrameResult &a, const FrameResult &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.frame_hash, b.frame_hash) << what;
-    EXPECT_EQ(a.content_hash, b.content_hash) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.totals.tris_rasterized, b.totals.tris_rasterized) << what;
-    EXPECT_EQ(a.totals.frags_written, b.totals.frags_written) << what;
-    EXPECT_EQ(a.traffic.total, b.traffic.total) << what;
-    EXPECT_EQ(a.traffic.messages, b.traffic.messages) << what;
-    EXPECT_EQ(a.breakdown.composition, b.breakdown.composition) << what;
-}
 
 /** ut3 scaled for test speed, with every transparent draw removed. */
 FrameTrace
@@ -47,53 +27,53 @@ opaqueOnlyTrace()
     BenchmarkProfile p = scaleProfile(benchmarkProfile("ut3"), 32);
     p.transparent_draw_frac = 0.0;
     p.additive_frac = 0.0;
-    return generateTrace(p);
+    FrameTrace trace = generateTrace(p);
+    // The generator keeps a minimum transparent tail and the additive
+    // render-target composites; drop those too and renumber the rest.
+    std::erase_if(trace.draws, [](const DrawCommand &d) {
+        return isTransparent(d.state.blend_op);
+    });
+    for (std::size_t i = 0; i < trace.draws.size(); ++i)
+        trace.draws[i].id = static_cast<DrawId>(i);
+    return trace;
 }
 
 class ChopinEdgeTest : public ::testing::TestWithParam<Scheme>
 {
 };
 
-TEST_P(ChopinEdgeTest, ZeroTransparentGroupsIsDeterministicAcrossJobs)
+TEST_P(ChopinEdgeTest, ZeroTransparentGroupsMatchesSingleGpu)
 {
     Scheme scheme = GetParam();
-    ScopedJobs restore(1);
-    SystemConfig cfg;
-    cfg.num_gpus = 8;
     FrameTrace trace = opaqueOnlyTrace();
+    for (const CompositionGroup &g : formGroups(trace))
+        ASSERT_FALSE(g.transparent());
 
-    setGlobalJobs(1);
-    FrameResult serial = runScheme(scheme, cfg, trace);
-    for (unsigned jobs : {2u, 8u}) {
-        setGlobalJobs(jobs);
-        FrameResult parallel = runScheme(scheme, cfg, trace);
-        expectIdentical(serial, parallel,
-                        toString(scheme) + " opaque-only jobs=" +
-                            std::to_string(jobs));
-    }
+    SystemConfig one;
+    one.num_gpus = 1;
+    SystemConfig eight;
+    eight.num_gpus = 8;
+    FrameResult ref = runScheme(Scheme::SingleGpu, one, trace);
+    FrameResult r = runScheme(scheme, eight, trace);
+    EXPECT_GT(r.groups_distributed, 0u) << toString(scheme);
+    // The same tolerance as the cross-scheme oracle (oracle_test.cc).
+    ImageDiff diff = compareImages(ref.image, r.image, 2e-4f);
+    EXPECT_EQ(diff.differing_pixels, 0)
+        << toString(scheme) << ": " << diff.differing_pixels
+        << " pixels differ (max " << diff.max_abs_diff << ")";
 }
 
-TEST_P(ChopinEdgeTest, SingleGpuIsDeterministicAcrossJobs)
+TEST_P(ChopinEdgeTest, SingleGpuMovesNoCompositionBytes)
 {
+    // With one GPU there is nobody to exchange sub-images with: the
+    // composition phase, and the frame as a whole, must move zero bytes.
     Scheme scheme = GetParam();
-    ScopedJobs restore(1);
     SystemConfig cfg;
     cfg.num_gpus = 1;
-    FrameTrace trace = generateBenchmark("ut3", 32);
-
-    setGlobalJobs(1);
-    FrameResult serial = runScheme(scheme, cfg, trace);
-    for (unsigned jobs : {2u, 8u}) {
-        setGlobalJobs(jobs);
-        FrameResult parallel = runScheme(scheme, cfg, trace);
-        expectIdentical(serial, parallel,
-                        toString(scheme) + " num_gpus=1 jobs=" +
-                            std::to_string(jobs));
-    }
-
-    // With one GPU there is nobody to exchange sub-images with: the
-    // composition phase must move zero bytes.
-    EXPECT_EQ(serial.traffic.total, 0u) << toString(scheme);
+    FrameResult r = runScheme(scheme, cfg, generateBenchmark("ut3", 32));
+    EXPECT_EQ(r.traffic.ofClass(TrafficClass::Composition), 0u)
+        << toString(scheme);
+    EXPECT_EQ(r.traffic.total, 0u) << toString(scheme);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -112,7 +92,6 @@ TEST(ChopinEdge, OpaqueOnlyMatchesSingleGpuImage)
     // The cross-scheme oracle restricted to the degenerate trace: CHOPIN
     // over 8 GPUs must composite the opaque-only frame to exactly the
     // single-GPU reference image.
-    ScopedJobs restore(4);
     FrameTrace trace = opaqueOnlyTrace();
     SystemConfig one;
     one.num_gpus = 1;

@@ -10,36 +10,40 @@ CI:
   python3 tools/bench_json.py BENCH_frame.json --series raster --min-speedup 1.5
   python3 tools/bench_json.py new.json --compare old.json
 
-Both producers share the contract: top-level `results` / `gmean_speedup` /
-`jobs_parallel`, per-result `bench, scheme, tris, ns_frame_serial,
-ns_frame_parallel, mtris_per_s, speedup, frame_hash, cycles`. sweep_all
-additionally emits a `cache` block (hit rates and per-phase counters),
-which is reported when present. perf_frame additionally emits the
-event-queue cost (`event_queue_ns_per_event`), the quad-rasterizer series (`raster_speedup`, `raster_ns_per_pixel`,
-`raster_ns_per_pixel_scalar`, `raster_pixels`, `raster_backend`,
-`raster_width`) and the frame-stream series (`stream_speedup`,
-`stream_frames`, `stream_frames_per_s`, `stream_frames_per_mcycle`,
-`stream_micro_stutter`, `stream_sequence_hash`); these keys are optional
-so older dumps stay valid. perf_frame --stream-out writes a standalone
-stream dump (one row per stream scheme, frame_hash = sequence hash,
-cycles = stream makespan) under the same top-level contract, so every
-mode here — report, gates, --compare — works on it unchanged.
+Both producers share the contract: top-level `results` / `jobs_parallel`,
+per-result `bench, scheme, tris, ns_frame_serial, mtris_per_s, frame_hash,
+cycles`. Dumps with a parallel leg (sweep_all, perf_frame --stream-out)
+add a top-level `gmean_speedup` and per-result `ns_frame_parallel` /
+`speedup`; perf_frame's frame series is serial (a frame is serial host
+code), so its main dump has neither. sweep_all additionally emits a
+`cache` block (hit rates and per-phase counters), which is reported when
+present. perf_frame additionally emits the event-queue cost
+(`event_queue_ns_per_event`), the quad-rasterizer series
+(`raster_speedup`, `raster_ns_per_pixel`, `raster_ns_per_pixel_scalar`,
+`raster_pixels`, `raster_backend`, `raster_width`) and the frame-stream
+series (`stream_speedup`, `stream_frames`, `stream_frames_per_s`,
+`stream_frames_per_mcycle`, `stream_micro_stutter`,
+`stream_sequence_hash`); these keys are optional so older dumps stay
+valid. perf_frame --stream-out writes a standalone stream dump (one row
+per stream scheme, frame_hash = sequence hash, cycles = stream makespan)
+under the same top-level contract, so every mode here — report, gates,
+--compare — works on it unchanged.
 
 --min-speedup fails (exit 1) when the selected speedup series is below the
-bound. --series picks which one: `gmean` (default) is the geometric-mean
---jobs=N over --jobs=1 frame-rendering speedup, `raster` is the SIMD-over-scalar
-ns/pixel ratio of the quad rasterizer (the harness asserts the two paths
-emitted bit-identical fragments before computing it), `stream` is the
-frame-stream pipeline's serial-over-parallel ratio on a 16-frame hybrid
-AFR+SFR sequence (the harness asserts every registered stream metric,
-including the sequence hash, is bit-identical between the legs). gmean
-and stream are only meaningful on multi-core machines; the harness
-itself already asserts bit-identical simulation results at every job
-count, which is the correctness gate.
+bound, and when the dump lacks that series. --series picks which one:
+`gmean` (default) is the dump's geometric-mean parallel-over-serial
+speedup (sweep_all: cold serial over warm parallel), `raster` is the
+SIMD-over-scalar ns/pixel ratio of the quad rasterizer (the harness
+asserts the two paths emitted bit-identical fragments before computing
+it), `stream` is the frame-stream pipeline's serial-over-parallel ratio
+on a 16-frame hybrid AFR+SFR sequence (the harness asserts every
+registered stream metric, including the sequence hash, is bit-identical
+between the legs). gmean and stream are only meaningful on multi-core
+machines.
 
 --compare checks that frame hashes and simulated cycle counts of matching
-(bench, scheme) pairs are identical between two runs — e.g. a --jobs=1 run
-against a --jobs=N run, or today's run against a stored baseline.
+(bench, scheme) pairs are identical between two runs — e.g. a SIMD build
+against a forced-scalar build, or today's run against a stored baseline.
 
 Standard library only.
 """
@@ -62,7 +66,7 @@ SERIES = {
 def load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
-    for key in ("results", "gmean_speedup", "jobs_parallel"):
+    for key in ("results", "jobs_parallel"):
         if key not in data:
             sys.exit(f"{path}: missing key '{key}' (not a bench dump?)")
     return data
@@ -74,19 +78,28 @@ def report(data: dict) -> None:
     print(f"# {tool}: scale={data.get('scale', '?')} "
           f"gpus={data.get('gpus', '?')} jobs={jobs} "
           f"repeat={data.get('repeat', '?')}")
+    parallel = all("speedup" in r for r in data["results"])
     header = (f"{'benchmark':<10} {'scheme':<18} {'ktris':>8} "
-              f"{'ns j1':>12} {'ns j' + str(jobs):>12} "
-              f"{'Mtris/s':>9} {'speedup':>8}")
+              f"{'ns j1':>12} ")
+    if parallel:
+        header += f"{'ns j' + str(jobs):>12} "
+    header += f"{'Mtris/s':>9}"
+    if parallel:
+        header += f" {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for r in data["results"]:
-        print(f"{r['bench']:<10} {r['scheme']:<18} "
-              f"{r['tris'] // 1000:>8} "
-              f"{r['ns_frame_serial']:>12.0f} "
-              f"{r['ns_frame_parallel']:>12.0f} "
-              f"{r['mtris_per_s']:>9.2f} "
-              f"{r['speedup']:>7.2f}x")
-    print(f"\ngeometric-mean speedup: {data['gmean_speedup']:.2f}x")
+        row = (f"{r['bench']:<10} {r['scheme']:<18} "
+               f"{r['tris'] // 1000:>8} "
+               f"{r['ns_frame_serial']:>12.0f} ")
+        if parallel:
+            row += f"{r['ns_frame_parallel']:>12.0f} "
+        row += f"{r['mtris_per_s']:>9.2f}"
+        if parallel:
+            row += f" {r['speedup']:>7.2f}x"
+        print(row)
+    if "gmean_speedup" in data:
+        print(f"\ngeometric-mean speedup: {data['gmean_speedup']:.2f}x")
     if "event_queue_ns_per_event" in data:
         print(f"event queue: {data['event_queue_ns_per_event']:.1f} ns/event")
     if "raster_speedup" in data:
@@ -141,14 +154,15 @@ def compare(data: dict, baseline: dict) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("json_path", help="BENCH_frame.json from perf_frame")
+    parser.add_argument("json_path",
+                        help="bench dump from perf_frame or sweep_all")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail if the selected speedup series is below "
                              "this bound")
     parser.add_argument("--series", choices=tuple(SERIES),
                         default="gmean",
                         help="which speedup series --min-speedup gates: "
-                             "frame-rendering gmean, the SIMD quad "
+                             "the dump's parallel gmean, the SIMD quad "
                              "rasterizer, or the frame-stream pipeline "
                              "(default: gmean)")
     parser.add_argument("--compare", metavar="BASELINE", default=None,

@@ -24,6 +24,11 @@ remediation recipe of each finding):
                 std::async, pthread_create) outside src/util/thread_pool.*
                 — all host parallelism flows through
                 ThreadPool::parallelFor.
+  parallel-site No ThreadPool::parallelFor() call in src/ outside
+                src/core/sweep.cc, src/sfr/sequence.cc and
+                src/util/thread_pool.* — host parallelism has one level,
+                whole simulations (sweep scenarios and stream frames);
+                a single frame (runScheme) is plain serial code.
   unordered     No std::unordered_{map,set,...} in src/ — hash-table
                 iteration order is implementation-defined and would feed
                 schedule- or libc-dependent order into stats, hashes and
@@ -200,6 +205,10 @@ FLOATING_RE = re.compile(r"\d\.\d|\b(?:float|double)\b|\.0f\b")
 CSTYLE_CAST_RE = re.compile(r"\(\s*(?:Tick|float|double)\s*\)\s*[\w(]")
 THREAD_RE = re.compile(
     r"\bstd::(?:thread|jthread|async)\b|\bpthread_create\s*\(")
+PARALLEL_FOR_RE = re.compile(r"\bparallelFor\s*\(")
+# The only files allowed to fan work out on a pool: the sweep engine's two
+# scenario sites, the stream pipeline's frame site, and the pool itself.
+PARALLEL_SITE_FILES = ("src/core/sweep.cc", "src/sfr/sequence.cc")
 UNORDERED_RE = re.compile(
     r"\bstd::unordered_(?:map|set|multimap|multiset)\b")
 GLOBAL_STATE_RE = re.compile(r"^\s*(?:static|thread_local)\s")
@@ -264,6 +273,14 @@ def check_thread(code: str) -> Optional[str]:
     if THREAD_RE.search(code):
         return ("raw threading primitive; use ThreadPool::parallelFor "
                 "(src/util/thread_pool.hh)")
+    return None
+
+
+def check_parallel_site(code: str) -> Optional[str]:
+    if PARALLEL_FOR_RE.search(code):
+        return ("parallelFor() outside the scenario level; host "
+                "parallelism runs whole simulations (core/sweep.cc, "
+                "sfr/sequence.cc), and a frame stays serial")
     return None
 
 
@@ -375,6 +392,14 @@ RULES = [
          lambda rel: in_src(rel) and
          not rel.startswith("src/util/thread_pool"),
          check_thread),
+    Rule("parallel-site",
+         "host parallelism only across whole simulations",
+         "keep the loop serial: a frame's work runs on the thread that "
+         "simulates it; to run more simulations at once, add them to a "
+         "sweep grid (core/sweep.hh) or a frame stream (sfr/sequence.hh)",
+         lambda rel: in_src(rel) and rel not in PARALLEL_SITE_FILES and
+         not rel.startswith("src/util/thread_pool"),
+         check_parallel_site),
     Rule("unordered",
          "no unordered containers in src/",
          "use std::map/std::set (ordered iteration) or a vector sorted by "
@@ -634,6 +659,10 @@ SELFTEST_CASES = [
      "std::thread worker(run);", True),
     ("thread", "src/util/thread_pool.cc",
      "std::thread worker(run);", False),  # pool impl exempt
+    ("parallel-site", "src/comp/algorithms.cc",
+     "globalPool().parallelFor(n, [&](std::size_t i) {", True),
+    ("parallel-site", "src/core/sweep.cc",
+     "pool->parallelFor(todo.size(), 1,", False),  # scenario level
     ("unordered", "src/sfr/grouping.cc",
      "std::unordered_map<int, int> seen;", True),
     ("unordered", "src/sfr/grouping.cc",

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Regression test for tools/bench_json.py against checked-in fixtures.
 
-bench_json.py is the CI perf gate for bench/perf_frame: --compare is the
-cross-run determinism check (frame hashes / simulated cycles must match
-between a --jobs=1 run and a --jobs=N run) and --min-speedup is the
-scalability bound. A gate that silently stops failing is worse than no
-gate, so this script proves both paths still reject bad inputs, using
-fixture dumps under tests/data/bench_json/:
+bench_json.py is the CI perf gate for bench/perf_frame and sweep_all:
+--compare is the cross-run determinism check (frame hashes / simulated
+cycles must match between two runs, e.g. a SIMD and a forced-scalar
+build) and --min-speedup is the scalability bound. A gate that silently
+stops failing is worse than no gate, so this script proves both paths
+still reject bad inputs, using fixture dumps under tests/data/bench_json/:
 
-  run_fast.json     healthy run: gmean speedup 3.47x, raster kernel 2.84x,
-                    stream pipeline 2.76x
+  run_fast.json     healthy dump with a parallel leg: gmean speedup 3.47x,
+                    raster kernel 2.84x, stream pipeline 2.76x
   run_slow.json     same simulation results (hashes/cycles/tris identical
                     to run_fast) but no speedup anywhere: gmean 1.02x,
                     raster 1.04x, stream 1.02x
+  run_serial.json   perf_frame's main dump: run_fast's frames with a
+                    serial frame series only (no gmean_speedup, no
+                    per-result parallel columns), raster and stream kept
   run_badhash.json  run_fast with one frame_hash and one cycle count
                     corrupted — what a determinism regression looks like —
                     and without the raster/stream series keys (an old
@@ -63,13 +66,14 @@ def main() -> int:
     fast = str(data / "run_fast.json")
     slow = str(data / "run_slow.json")
     badhash = str(data / "run_badhash.json")
+    serial = str(data / "run_serial.json")
 
     # Plain report on a healthy dump succeeds.
     expect("report(run_fast)", runTool(root, fast),
            want_exit=0, want_in_output="geometric-mean speedup: 3.47x")
 
     # Determinism compare: same hashes/cycles/tris at different host speeds
-    # is exactly the jobs=1 vs jobs=N case and must pass.
+    # must pass.
     expect("compare(fast, slow) identical results",
            runTool(root, fast, "--compare", slow),
            want_exit=0, want_in_output="configurations identical")
@@ -130,6 +134,23 @@ def main() -> int:
     expect("old dump without series keys still loads",
            runTool(root, badhash),
            want_exit=0, want_in_output="geometric-mean speedup")
+
+    # perf_frame's serial frame series: reported without parallel columns,
+    # hash-compatible with a dump that has them, and the raster gate still
+    # works; gating it on the absent gmean series is a hard error.
+    expect("serial frame dump reported",
+           runTool(root, serial),
+           want_exit=0, want_in_output="Mtris/s\n")
+    expect("compare(serial, fast) identical results",
+           runTool(root, serial, "--compare", fast),
+           want_exit=0, want_in_output="configurations identical")
+    expect("raster min-speedup accepts run_serial",
+           runTool(root, serial, "--series", "raster",
+                   "--min-speedup", "1.5"),
+           want_exit=0, want_in_output="OK: raster-kernel speedup")
+    expect("gmean gate on serial frame dump is a hard error",
+           runTool(root, serial, "--min-speedup", "1.5"),
+           want_exit=1, want_in_output="missing key 'gmean_speedup'")
 
     # Malformed input (missing top-level keys) is a hard error, not a pass.
     expect("malformed dump rejected",
