@@ -58,8 +58,10 @@ namespace chopin
  * older binaries are evicted (rejected on load and overwritten on the next
  * store) instead of aliasing. v2: the accounting payload is the metric
  * registry's wire format (stats/metrics.hh) instead of hand-listed fields.
+ * v3: trace fingerprints mix raw triangle/matrix bytes a word at a time
+ * (Fingerprinter::bytes), so every trace key changed.
  */
-inline constexpr std::uint32_t resultSchemaVersion = 2;
+inline constexpr std::uint32_t resultSchemaVersion = 3;
 
 /**
  * The cache version binaries actually use (the SweepOptions default):

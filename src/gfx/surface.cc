@@ -1,5 +1,6 @@
 #include "gfx/surface.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/check.hh"
@@ -43,7 +44,13 @@ frameHash(const Image &img)
 std::uint64_t
 Surface::contentHash() const
 {
-    std::uint64_t h = frameHash(img);
+    return contentHashFrom(frameHash(img));
+}
+
+std::uint64_t
+Surface::contentHashFrom(std::uint64_t frame_hash) const
+{
+    std::uint64_t h = frame_hash;
     if (!depth.empty())
         h = fnv1a(h, depth.data(), depth.size() * sizeof(float));
     if (!written.empty())
@@ -51,9 +58,9 @@ Surface::contentHash() const
     return h;
 }
 
-Surface::Surface(int w, int h)
-    : img(w, h),
-      depth(static_cast<std::size_t>(w) * h, 1.0f),
+Surface::Surface(int w, int h, const Color &c, float z)
+    : img(w, h, c),
+      depth(static_cast<std::size_t>(w) * h, z),
       lastWriter(static_cast<std::size_t>(w) * h, noWriter),
       written(static_cast<std::size_t>(w) * h, 0),
       stencil(static_cast<std::size_t>(w) * h, 0)
@@ -66,6 +73,14 @@ Surface::clear(const Color &c, float z)
     img.clear(c);
     std::fill(depth.begin(), depth.end(), z);
     std::fill(lastWriter.begin(), lastWriter.end(), noWriter);
+    std::fill(written.begin(), written.end(), 0);
+    std::fill(stencil.begin(), stencil.end(), 0);
+}
+
+void
+Surface::resetReadState(float z)
+{
+    std::fill(depth.begin(), depth.end(), z);
     std::fill(written.begin(), written.end(), 0);
     std::fill(stencil.begin(), stencil.end(), 0);
 }

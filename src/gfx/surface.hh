@@ -33,13 +33,25 @@ class Surface
 {
   public:
     Surface() = default;
-    Surface(int w, int h);
+
+    /** A @p w x @p h surface in the state clear(@p c, @p z) leaves. */
+    Surface(int w, int h, const Color &c = Color(), float z = 1.0f);
 
     int width() const { return img.width(); }
     int height() const { return img.height(); }
 
     /** Reset color to @p c, depth to @p z, writers to none. */
     void clear(const Color &c, float z);
+
+    /**
+     * Reset only the state a draw reads before it writes: depth to @p z,
+     * stencil to 0 and the written mask to 0. Color and writer ids keep
+     * whatever the last use left there, so after this call they are
+     * defined only where writtenAt() is true; every reader must gate on
+     * writtenAt() first. A caller whose draws blend (and so read the
+     * destination color) must also clear color() itself.
+     */
+    void resetReadState(float z);
 
     const Image &color() const { return img; }
     Image &color() { return img; }
@@ -72,6 +84,13 @@ class Surface
      * claim rests on; see frameHash() for the image-only variant.
      */
     std::uint64_t contentHash() const;
+
+    /**
+     * contentHash() given @p frame_hash == frameHash(color()): continues
+     * that FNV state over depth and the written mask, so a caller that
+     * already holds the frame hash does not hash the color image twice.
+     */
+    std::uint64_t contentHashFrom(std::uint64_t frame_hash) const;
 
   private:
     std::size_t

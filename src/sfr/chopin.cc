@@ -181,8 +181,11 @@ struct ChopinRun
         float clear_z =
             (group.depth_test && !prefersSmaller(group.depth_func)) ? 0.0f
                                                                     : 1.0f;
+        // Opaque blending never reads the destination color, and every
+        // reader of a sub-image's color and writer gates on writtenAt(), so
+        // only depth, stencil and the written mask need resetting.
         for (unsigned g = 0; g < n; ++g) {
-            subs[g].clear(Color(), clear_z);
+            subs[g].resetReadState(clear_z);
             std::fill(sub_touched[g].begin(), sub_touched[g].end(), 0);
         }
 
@@ -258,8 +261,11 @@ struct ChopinRun
     {
         unsigned n = ctx.cfg.num_gpus;
         BlendOp op = group.blend_op;
+        // Blending reads the destination color, so it starts at the
+        // operator's identity; writer ids are never read here.
         for (unsigned g = 0; g < n; ++g) {
-            subs[g].clear(transparentIdentity(op), 1.0f);
+            subs[g].resetReadState(1.0f);
+            subs[g].color().clear(transparentIdentity(op));
             std::fill(sub_touched[g].begin(), sub_touched[g].end(), 0);
         }
 

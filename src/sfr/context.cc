@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "util/check.hh"
 #include "util/log.hh"
@@ -37,8 +38,8 @@ SimContext::SimContext(const SystemConfig &config, const FrameTrace &frame,
     rts.reserve(trace.num_render_targets);
     rt_dirty.resize(trace.num_render_targets);
     for (std::uint32_t r = 0; r < trace.num_render_targets; ++r) {
-        rts.emplace_back(vp.width, vp.height);
-        rts[r].clear(trace.clear_color, trace.clear_depth);
+        rts.emplace_back(vp.width, vp.height, trace.clear_color,
+                         trace.clear_depth);
         rt_dirty[r].assign(static_cast<std::size_t>(grid.tileCount()), 0);
     }
 }
@@ -157,9 +158,10 @@ SimContext::finish(Scheme scheme, Tick end)
     if (!pipes.empty())
         r.draw_timings = pipes[0].drawTimings();
     r.retained_culled = retained_culled;
-    r.image = rts[0].color();
-    r.frame_hash = frameHash(r.image);
-    r.content_hash = rts[0].contentHash();
+    // Hash the color image once, then hand it over: the context is done.
+    r.frame_hash = frameHash(rts[0].color());
+    r.content_hash = rts[0].contentHashFrom(r.frame_hash);
+    r.image = std::move(rts[0].color());
     return r;
 }
 

@@ -86,7 +86,11 @@ class SimContext
     /** The color image a draw samples, or null (validates the RT index). */
     const Image *textureFor(const DrawCommand &cmd) const;
 
-    /** Assemble the FrameResult after the frame completes at @p end. */
+    /**
+     * Assemble the FrameResult after the frame completes at @p end. The
+     * back buffer's color image moves into the result, so this is the
+     * context's last use.
+     */
     FrameResult finish(Scheme scheme, Tick end);
 };
 

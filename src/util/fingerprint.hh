@@ -20,6 +20,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -82,14 +83,22 @@ class Fingerprinter
     }
 
     /** Raw bytes of tightly packed data (e.g. a float array); callers are
-     *  responsible for not passing padded structs. */
+     *  responsible for not passing padded structs. Mixed a native-endian
+     *  8-byte word at a time, then byte by byte for the tail. */
     Fingerprinter &
     bytes(const void *data, std::size_t size)
     {
         mixTag('r');
         mixWord(static_cast<std::uint64_t>(size));
         const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i)
+        std::size_t i = 0;
+        for (; i + sizeof(std::uint64_t) <= size;
+             i += sizeof(std::uint64_t)) {
+            std::uint64_t w = 0;
+            std::memcpy(&w, p + i, sizeof(w));
+            mixWide(w);
+        }
+        for (; i < size; ++i)
             mixByte(p[i]);
         return *this;
     }
@@ -121,6 +130,20 @@ class Fingerprinter
     {
         for (int i = 0; i < 8; ++i, v >>= 8)
             mixByte(static_cast<unsigned char>(v & 0xff));
+    }
+
+    /**
+     * One FNV-style step over a whole word, followed by an xorshift so the
+     * word's high bits also reach the low bits of the state. Both steps
+     * are bijections of the state, so changing any single word always
+     * changes the result.
+     */
+    void
+    mixWide(std::uint64_t w)
+    {
+        hash ^= w;
+        hash *= 1099511628211ull;
+        hash ^= hash >> 32;
     }
 
     void mixTag(char t) { mixByte(static_cast<unsigned char>(t)); }

@@ -32,6 +32,49 @@ TEST(Surface, ClearResetsEverything)
     EXPECT_FLOAT_EQ(s.depthAt(1, 1), 1.0f);
 }
 
+TEST(Surface, ResetReadStateLeavesColorAndWriter)
+{
+    // The sub-image contract: a reset restores only what a draw reads
+    // before writing (depth, stencil, the written mask). Color and writer
+    // keep stale values, which is why every reader gates on writtenAt().
+    Surface s(4, 4);
+    DrawStats stats;
+    RasterState st = opaqueState();
+    st.stencil_test = true;
+    st.stencil_func = DepthFunc::Always;
+    st.stencil_pass_op = StencilOp::Replace;
+    st.stencil_ref = 5;
+    s.applyFragment(frag(1, 2, 0.25f, {0.5f, 0.25f, 0.75f, 1.0f}), st, 7,
+                    0.5f, stats);
+    s.applyFragment(frag(3, 0, 0.5f, {1, 0, 0, 1}), st, 8, 0.5f, stats);
+    ASSERT_EQ(s.stencilAt(1, 2), 5);
+
+    s.resetReadState(0.0f);
+    for (int y = 0; y < 4; ++y) {
+        for (int x = 0; x < 4; ++x) {
+            EXPECT_EQ(s.depthAt(x, y), 0.0f) << x << "," << y;
+            EXPECT_EQ(s.stencilAt(x, y), 0) << x << "," << y;
+            EXPECT_FALSE(s.writtenAt(x, y)) << x << "," << y;
+        }
+    }
+    EXPECT_EQ(s.color().at(1, 2), (Color{0.5f, 0.25f, 0.75f, 1.0f}));
+    EXPECT_EQ(s.color().at(3, 0), (Color{1, 0, 0, 1}));
+    EXPECT_EQ(s.writerAt(1, 2), 7u);
+    EXPECT_EQ(s.writerAt(3, 0), 8u);
+    EXPECT_EQ(s.writerAt(0, 0), noWriter);
+}
+
+TEST(Surface, ConstructorMatchesClear)
+{
+    Color c{0.05f, 0.05f, 0.08f, 1.0f};
+    Surface built(5, 3, c, 0.0f);
+    Surface cleared(5, 3);
+    cleared.clear(c, 0.0f);
+    EXPECT_EQ(built.contentHash(), cleared.contentHash());
+    EXPECT_EQ(built.writerAt(4, 2), noWriter);
+    EXPECT_EQ(built.stencilAt(4, 2), 0);
+}
+
 TEST(Surface, OpaqueWriteUpdatesAllBuffers)
 {
     Surface s(4, 4);
@@ -195,6 +238,15 @@ TEST(SurfaceHash, DepthOnlyChangeChangesContentHash)
     b.clear({0, 0, 0, 1}, 0.5f);
     EXPECT_EQ(frameHash(a.color()), frameHash(b.color()));
     EXPECT_NE(a.contentHash(), b.contentHash());
+}
+
+TEST(SurfaceHash, ContentHashFromContinuesTheFrameHash)
+{
+    Surface s(4, 4);
+    s.clear({0.25f, 0, 0, 1}, 0.5f);
+    DrawStats st;
+    s.applyFragment(frag(2, 1, 0.125f), opaqueState(), 3, 0.5f, st);
+    EXPECT_EQ(s.contentHashFrom(frameHash(s.color())), s.contentHash());
 }
 
 TEST(Blend, OverMatchesFormula)

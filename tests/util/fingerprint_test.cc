@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "util/fingerprint.hh"
 
@@ -112,6 +113,40 @@ TEST(Fingerprint, BytesMatchesEquivalentByteStream)
     const unsigned char other[] = {1, 2, 3, 5};
     c.bytes(other, sizeof(other));
     EXPECT_NE(a.value(), c.value());
+}
+
+TEST(Fingerprint, BytesSeesEveryBitOfWordsAndTail)
+{
+    // bytes() mixes whole 8-byte words and then the tail bytes one at a
+    // time: a one-bit flip anywhere, in a word or in the tail, must move
+    // the fingerprint. 19 bytes = two words and a 3-byte tail.
+    unsigned char raw[19];
+    for (std::size_t i = 0; i < sizeof(raw); ++i)
+        raw[i] = static_cast<unsigned char>(i * 37 + 11);
+    Fingerprinter base;
+    base.bytes(raw, sizeof(raw));
+    for (std::size_t i = 0; i < sizeof(raw); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            unsigned char flipped[sizeof(raw)];
+            std::memcpy(flipped, raw, sizeof(raw));
+            flipped[i] = static_cast<unsigned char>(flipped[i] ^ (1u << bit));
+            Fingerprinter f;
+            f.bytes(flipped, sizeof(flipped));
+            EXPECT_NE(f.value(), base.value())
+                << "byte " << i << " bit " << bit;
+        }
+    }
+}
+
+TEST(Fingerprint, BytesLengthPrefixSeparatesTailSplits)
+{
+    // Moving one byte from a word into the tail of the next call must not
+    // alias: the length prefix of each call keeps the boundaries.
+    const unsigned char raw[9] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    Fingerprinter a, b;
+    a.bytes(raw, 8).bytes(raw + 8, 1);
+    b.bytes(raw, 9).bytes(raw + 9, 0);
+    EXPECT_NE(a.value(), b.value());
 }
 
 } // namespace
