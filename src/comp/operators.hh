@@ -73,6 +73,23 @@ composableDepthFunc(DepthFunc func)
  */
 bool opaqueWins(DepthFunc func, const OpaquePixel &in, const OpaquePixel &cur);
 
+/**
+ * opaqueWins() for a contribution @p in rendered after @p cur on the same
+ * GPU's private depth test, which is how CHOPIN folds each written
+ * fragment into the render target as it lands. The only tie opaqueWins
+ * leaves open is two writes of one draw (a draw overlapping itself): the
+ * writer ids are equal, and in-order rendering keeps the later write
+ * unless the earlier one strictly wins on depth.
+ *
+ * @pre composableDepthFunc(func)
+ */
+inline bool
+opaqueReplaces(DepthFunc func, const OpaquePixel &in, const OpaquePixel &cur)
+{
+    return in.writer == cur.writer ? !opaqueWins(func, cur, in)
+                                   : opaqueWins(func, in, cur);
+}
+
 /** Select the winning contribution (convenience over opaqueWins). */
 inline OpaquePixel
 composeOpaque(DepthFunc func, const OpaquePixel &a, const OpaquePixel &b)

@@ -113,23 +113,18 @@ threadRenderScratch()
     return scratch;
 }
 
-DrawStats
-renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
-           const RenderFilter &filter, std::vector<std::uint8_t> *touched_tiles,
-           const TileGrid *grid)
+namespace
 {
-    using namespace gfx_detail;
 
-    chopin_assert(surface.width() == vp.width &&
-                  surface.height() == vp.height);
-    chopin_assert(touched_tiles == nullptr || grid != nullptr,
-                  "touched-tile tracking needs a tile grid");
-
-    RenderScratch &scratch = threadRenderScratch();
-    scratch.beginDraw();
-    DrawStats stats;
-    runGeometry(in.triangles, in.mvp, vp, in.backface_cull, scratch, stats);
-
+/** renderDraw()'s raster loop for one plane set (see Surface::apply). */
+template <bool kSubImage>
+void
+rasterizeDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
+              const RenderFilter &filter,
+              std::vector<std::uint8_t> *touched_tiles, const TileGrid *grid,
+              const FragmentSink *on_write, const RenderScratch &scratch,
+              DrawStats &stats)
+{
     PixelRect full{0, 0, vp.width - 1, vp.height - 1};
     for (const ScreenTriangle &st : scratch.screen_tris) {
         if (!filter.mayTouch(st)) {
@@ -150,14 +145,55 @@ renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
                     shaded.color * in.texture->at(frag.x, frag.y);
                 stats.frags_textured += 1;
             }
-            std::uint64_t written_before = stats.frags_written;
-            surface.applyFragment(shaded, in.state, in.draw_id,
-                                  in.alpha_ref, stats);
-            if (stats.frags_written != written_before &&
-                touched_tiles != nullptr)
+            bool wrote;
+            if constexpr (kSubImage)
+                wrote = surface.applySubImageFragment(
+                    shaded, in.state, in.draw_id, in.alpha_ref, stats);
+            else
+                wrote = surface.applyFragment(shaded, in.state, in.draw_id,
+                                              in.alpha_ref, stats);
+            if (!wrote)
+                return;
+            if (touched_tiles != nullptr)
                 (*touched_tiles)[static_cast<std::size_t>(
                     grid->tileIndexOfPixel(frag.x, frag.y))] = 1;
+            if constexpr (kSubImage)
+                (*on_write)(shaded);
         });
+    }
+}
+
+} // namespace
+
+DrawStats
+renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
+           const RenderFilter &filter, std::vector<std::uint8_t> *touched_tiles,
+           const TileGrid *grid, const FragmentSink *on_write)
+{
+    using namespace gfx_detail;
+
+    chopin_assert(surface.width() == vp.width &&
+                  surface.height() == vp.height);
+    chopin_assert(touched_tiles == nullptr || grid != nullptr,
+                  "touched-tile tracking needs a tile grid");
+    chopin_assert(surface.isSubImage() == (on_write != nullptr),
+                  "a sub-image draw needs a write sink, and only it");
+
+    RenderScratch &scratch = threadRenderScratch();
+    scratch.beginDraw();
+    DrawStats stats;
+    runGeometry(in.triangles, in.mvp, vp, in.backface_cull, scratch, stats);
+
+    if (surface.isSubImage()) {
+        chopin_assert(in.state.blend_op == BlendOp::Opaque &&
+                          !in.state.stencil_test,
+                      "sub-image draw ", in.draw_id,
+                      " must be opaque without a stencil test");
+        rasterizeDraw<true>(surface, vp, in, filter, touched_tiles, grid,
+                            on_write, scratch, stats);
+    } else {
+        rasterizeDraw<false>(surface, vp, in, filter, touched_tiles, grid,
+                             nullptr, scratch, stats);
     }
     return stats;
 }

@@ -176,17 +176,30 @@ void binTriangles(RenderScratch &scratch, const BinGrid &bins,
 /**
  * Render one draw command into @p surface.
  *
+ * A full surface and a sub-image (Surface::subImage()) run separate
+ * instantiations of the same raster and fragment code, chosen once per
+ * draw, so the full-surface path carries no per-fragment sink check.
+ *
  * @param touched_tiles optional per-tile flags (indexed by @p grid linear
  *        tile index) set for every tile that receives a written fragment —
  *        used to size CHOPIN's composition traffic.
  * @param grid tile grid used for @p touched_tiles indexing (may be null if
  *        touched_tiles is null).
+ * @param on_write per-write callback (non-owning), required exactly when
+ *        @p surface is a sub-image. A sub-image stores no color or writer
+ *        id, so the caller receives each written fragment here, with its
+ *        position, depth and shaded color before blending, in
+ *        rasterization order and after its depth and written-mask
+ *        stores; the writer is @p in.draw_id. CHOPIN folds these into the
+ *        render target as they land. A sub-image draw must be opaque and
+ *        leave the stencil test off.
  * @return functional statistics for the timing model.
  */
 DrawStats renderDraw(Surface &surface, const Viewport &vp,
                      const DrawInput &in, const RenderFilter &filter = {},
                      std::vector<std::uint8_t> *touched_tiles = nullptr,
-                     const TileGrid *grid = nullptr);
+                     const TileGrid *grid = nullptr,
+                     const FragmentSink *on_write = nullptr);
 
 } // namespace chopin
 

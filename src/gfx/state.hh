@@ -183,6 +183,7 @@ struct DrawStats
     std::uint64_t frags_written = 0;    ///< blended/written to the target
 
     DrawStats &operator+=(const DrawStats &o);
+    bool operator==(const DrawStats &o) const = default;
 
     /** Metric registry visitation (stats/metrics.hh). */
     template <typename Self, typename V>

@@ -59,12 +59,24 @@ Surface::contentHashFrom(std::uint64_t frame_hash) const
 }
 
 Surface::Surface(int w, int h, const Color &c, float z)
-    : img(w, h, c),
+    : _width(w), _height(h), img(w, h, c),
       depth(static_cast<std::size_t>(w) * h, z),
       lastWriter(static_cast<std::size_t>(w) * h, noWriter),
       written(static_cast<std::size_t>(w) * h, 0),
       stencil(static_cast<std::size_t>(w) * h, 0)
 {
+}
+
+Surface
+Surface::subImage(int w, int h, float z)
+{
+    Surface s;
+    s._width = w;
+    s._height = h;
+    s.sub_image = true;
+    s.depth.assign(static_cast<std::size_t>(w) * h, z);
+    s.written.assign(static_cast<std::size_t>(w) * h, 0);
+    return s;
 }
 
 void
@@ -110,10 +122,13 @@ blendPixel(BlendOp op, const Color &src, const Color &dst)
     return dst;
 }
 
-void
-Surface::applyFragment(const Fragment &frag, const RasterState &state,
-                       DrawId draw, float alpha_ref, DrawStats &stats)
+template <bool kSubImage>
+bool
+Surface::apply(const Fragment &frag, const RasterState &state, DrawId draw,
+               float alpha_ref, DrawStats &stats)
 {
+    CHOPIN_DCHECK(sub_image == kSubImage, "fragment body for the wrong "
+                  "plane set");
     stats.frags_generated += 1;
     CHOPIN_DCHECK(frag.x >= 0 && frag.x < width() && frag.y >= 0 &&
                       frag.y < height(),
@@ -124,10 +139,12 @@ Surface::applyFragment(const Fragment &frag, const RasterState &state,
     // The joint depth/stencil test: stencil first, then depth (GL order).
     // Failing fragments leave the stencil value unchanged (keep-on-fail).
     auto depth_stencil_pass = [&]() {
-        if (state.stencil_test &&
-            !stencilCompare(state.stencil_func, state.stencil_ref,
-                            stencil[i]))
-            return false;
+        if constexpr (!kSubImage) {
+            if (state.stencil_test &&
+                !stencilCompare(state.stencil_func, state.stencil_ref,
+                                stencil[i]))
+                return false;
+        }
         if (state.depth_test &&
             !depthTest(state.depth_func, frag.z, depth[i]))
             return false;
@@ -139,7 +156,7 @@ Surface::applyFragment(const Fragment &frag, const RasterState &state,
     if (early) {
         if (!depth_stencil_pass()) {
             stats.frags_early_fail += 1;
-            return;
+            return false;
         }
         stats.frags_early_pass += 1;
     }
@@ -148,25 +165,35 @@ Surface::applyFragment(const Fragment &frag, const RasterState &state,
     // counter; functionally the interpolated color is the shader output).
     stats.frags_shaded += 1;
     if (state.shader_discard && frag.color.a < alpha_ref)
-        return; // alpha-test discard
+        return false; // alpha-test discard
 
     if (!early && any_test) {
         if (!depth_stencil_pass()) {
             stats.frags_late_fail += 1;
-            return;
+            return false;
         }
         stats.frags_late_pass += 1;
     }
 
-    img.data()[i] = blendPixel(state.blend_op, frag.color, img.data()[i]);
+    if constexpr (!kSubImage)
+        img.data()[i] =
+            blendPixel(state.blend_op, frag.color, img.data()[i]);
     if (state.depth_test && state.depth_write)
         depth[i] = frag.z;
-    if (state.stencil_test)
-        stencil[i] = applyStencilOp(state.stencil_pass_op, stencil[i],
-                                    state.stencil_ref);
-    lastWriter[i] = draw;
+    if constexpr (!kSubImage) {
+        if (state.stencil_test)
+            stencil[i] = applyStencilOp(state.stencil_pass_op, stencil[i],
+                                        state.stencil_ref);
+        lastWriter[i] = draw;
+    }
     written[i] = 1;
     stats.frags_written += 1;
+    return true;
 }
+
+template bool Surface::apply<false>(const Fragment &, const RasterState &,
+                                    DrawId, float, DrawStats &);
+template bool Surface::apply<true>(const Fragment &, const RasterState &,
+                                   DrawId, float, DrawStats &);
 
 } // namespace chopin

@@ -8,7 +8,9 @@
  * composition can resolve equal-depth fragments exactly the way an in-order
  * single GPU would have (first writer wins for strict comparisons, last
  * writer wins for comparisons that accept equality) — without it the oracle
- * tests would be flaky on depth ties.
+ * tests would be flaky on depth ties. A sub-image (Surface::subImage())
+ * keeps only depth and the written mask; its colors and writer ids go to a
+ * per-write callback instead (see renderDraw()).
  */
 
 #ifndef CHOPIN_GFX_SURFACE_HH
@@ -37,8 +39,19 @@ class Surface
     /** A @p w x @p h surface in the state clear(@p c, @p z) leaves. */
     Surface(int w, int h, const Color &c = Color(), float z = 1.0f);
 
-    int width() const { return img.width(); }
-    int height() const { return img.height(); }
+    /**
+     * A @p w x @p h sub-image: depth at @p z and an empty written mask,
+     * with no color, writer or stencil plane (5 B/px instead of 26). Only
+     * applySubImageFragment() writes it, so it serves opaque draws that
+     * leave the stencil alone.
+     */
+    static Surface subImage(int w, int h, float z = 1.0f);
+
+    int width() const { return _width; }
+    int height() const { return _height; }
+
+    /** True for a surface made by subImage(). */
+    bool isSubImage() const { return sub_image; }
 
     /** Reset color to @p c, depth to @p z, writers to none. */
     void clear(const Color &c, float z);
@@ -64,6 +77,14 @@ class Surface
 
     bool writtenAt(int x, int y) const { return written[idx(x, y)] != 0; }
     void markWritten(int x, int y) { written[idx(x, y)] = 1; }
+    void unmarkWritten(int x, int y) { written[idx(x, y)] = 0; }
+
+    /** Row @p y of the written mask: width() bytes, each 0 or 1. */
+    const std::uint8_t *
+    writtenRow(int y) const
+    {
+        return written.data() + idx(0, y);
+    }
 
     std::uint8_t stencilAt(int x, int y) const { return stencil[idx(x, y)]; }
     void setStencil(int x, int y, std::uint8_t v) { stencil[idx(x, y)] = v; }
@@ -73,9 +94,31 @@ class Surface
      * under @p state, updating @p stats. @p draw identifies the draw command
      * for writer bookkeeping; @p alpha_ref is the alpha-test threshold used
      * when state.shader_discard is set.
+     *
+     * @return true if the fragment was written.
+     * @pre !isSubImage()
      */
-    void applyFragment(const Fragment &frag, const RasterState &state,
-                       DrawId draw, float alpha_ref, DrawStats &stats);
+    bool
+    applyFragment(const Fragment &frag, const RasterState &state,
+                  DrawId draw, float alpha_ref, DrawStats &stats)
+    {
+        return apply<false>(frag, state, draw, alpha_ref, stats);
+    }
+
+    /**
+     * applyFragment() on a sub-image: the same tests and counters, but a
+     * written fragment stores only its depth and the written mask. The
+     * caller keeps the color and writer id from the return value.
+     *
+     * @pre isSubImage(), state.blend_op is Opaque (nothing reads the
+     *      destination color) and !state.stencil_test.
+     */
+    bool
+    applySubImageFragment(const Fragment &frag, const RasterState &state,
+                          DrawId draw, float alpha_ref, DrawStats &stats)
+    {
+        return apply<true>(frag, state, draw, alpha_ref, stats);
+    }
 
     /**
      * Order-independent content hash over color, depth and written-mask
@@ -96,9 +139,18 @@ class Surface
     std::size_t
     idx(int x, int y) const
     {
-        return static_cast<std::size_t>(y) * img.width() + x;
+        return static_cast<std::size_t>(y) * _width + x;
     }
 
+    /** The fragment body of both planes sets; kSubImage skips the color,
+     *  writer and stencil stores. */
+    template <bool kSubImage>
+    bool apply(const Fragment &frag, const RasterState &state, DrawId draw,
+               float alpha_ref, DrawStats &stats);
+
+    int _width = 0;
+    int _height = 0;
+    bool sub_image = false;
     Image img;
     std::vector<float> depth;
     std::vector<DrawId> lastWriter;

@@ -135,6 +135,48 @@ TEST_P(OutOfOrderEquivalence, FoldAnyOrderMatchesInOrderRendering)
     }
 }
 
+TEST_P(OutOfOrderEquivalence, FoldAsWrittenMatchesInOrderRendering)
+{
+    // CHOPIN's fold: every write that passes its GPU's private depth test
+    // goes straight into the target through opaqueReplaces. Draws may
+    // write a pixel several times (a draw overlapping itself), which ties
+    // on the writer id; the result must still equal in-order rendering,
+    // color included.
+    auto [func, seed] = GetParam();
+    Rng rng(seed * 7919);
+    constexpr unsigned gpus = 3;
+    float clear = prefersSmaller(func) || func == DepthFunc::Always ? 1.0f
+                                                                   : 0.0f;
+    for (int trial = 0; trial < 200; ++trial) {
+        OpaquePixel start{{0, 0, 0, 1}, clear, ~DrawId(0)};
+        OpaquePixel oracle = start;
+        OpaquePixel target = start;
+        std::vector<OpaquePixel> priv(gpus, start);
+        int draws = 1 + static_cast<int>(rng.nextBounded(5));
+        for (int d = 0; d < draws; ++d) {
+            unsigned gpu = rng.nextBounded(gpus);
+            int writes = 1 + static_cast<int>(rng.nextBounded(3));
+            for (int w = 0; w < writes; ++w) {
+                OpaquePixel c{{rng.nextFloat(), rng.nextFloat(),
+                               rng.nextFloat(), 1.0f},
+                              static_cast<float>(rng.nextBounded(4)) / 4.0f,
+                              static_cast<DrawId>(d)};
+                if (depthTest(func, c.depth, oracle.depth))
+                    oracle = c;
+                if (!depthTest(func, c.depth, priv[gpu].depth))
+                    continue;
+                priv[gpu] = c;
+                if (opaqueReplaces(func, c, target))
+                    target = c;
+            }
+        }
+        ASSERT_EQ(target.writer, oracle.writer)
+            << "trial " << trial << " func " << toString(func);
+        ASSERT_EQ(target.depth, oracle.depth);
+        ASSERT_EQ(target.color, oracle.color);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     FuncsAndSeeds, OutOfOrderEquivalence,
     ::testing::Values(OrderCase{DepthFunc::Less, 1},

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "gfx/surface.hh"
+#include "util/rng.hh"
 
 namespace chopin
 {
@@ -87,6 +88,88 @@ TEST(Surface, OpaqueWriteUpdatesAllBuffers)
     EXPECT_FLOAT_EQ(s.color().at(2, 3).a, 1.0f); // opaque forces alpha 1
     EXPECT_EQ(stats.frags_early_pass, 1u);
     EXPECT_EQ(stats.frags_written, 1u);
+}
+
+/** The composable depth functions, then the depth test off. */
+class SubImageTest : public ::testing::TestWithParam<DepthFunc>
+{
+};
+
+TEST_P(SubImageTest, MatchesFullSurfaceOnRandomFragments)
+{
+    // The sub-image instantiation of the fragment body must run the same
+    // tests and counters as the full surface and store the same depth and
+    // written mask; it only skips the color and writer stores.
+    DepthFunc func = GetParam();
+    float clear_z =
+        func == DepthFunc::Greater || func == DepthFunc::GreaterEqual
+            ? 0.0f
+            : 1.0f;
+    constexpr int w = 8;
+    constexpr int h = 4;
+    Surface full(w, h, Color(), clear_z);
+    Surface sub = Surface::subImage(w, h, clear_z);
+    ASSERT_TRUE(sub.isSubImage());
+    ASSERT_FALSE(full.isSubImage());
+
+    Rng rng(0x5b1u + static_cast<unsigned>(func));
+    DrawStats full_stats, sub_stats;
+    int written = 0;
+    for (int i = 0; i < 4000; ++i) {
+        RasterState st;
+        st.depth_test = func != DepthFunc::Never;
+        st.depth_func = func;
+        st.shader_discard = rng.nextBool(0.3);
+        // Few depth levels, so ties are common.
+        Fragment f = frag(static_cast<int>(rng.nextBounded(w)),
+                          static_cast<int>(rng.nextBounded(h)),
+                          static_cast<float>(rng.nextBounded(5)) * 0.25f,
+                          {rng.nextFloat(), rng.nextFloat(), rng.nextFloat(),
+                           rng.nextFloat()});
+        DrawId draw = static_cast<DrawId>(i / 16);
+        bool a = full.applyFragment(f, st, draw, 0.5f, full_stats);
+        bool b = sub.applySubImageFragment(f, st, draw, 0.5f, sub_stats);
+        ASSERT_EQ(a, b) << "fragment " << i;
+        written += a ? 1 : 0;
+    }
+    EXPECT_EQ(full_stats, sub_stats);
+    EXPECT_GT(written, 0);
+    EXPECT_LT(sub_stats.frags_written, sub_stats.frags_shaded); // discards
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            EXPECT_EQ(sub.depthAt(x, y), full.depthAt(x, y)) << x << "," << y;
+            EXPECT_EQ(sub.writtenAt(x, y), full.writtenAt(x, y))
+                << x << "," << y;
+            EXPECT_EQ(sub.writtenRow(y)[x], full.writtenAt(x, y) ? 1 : 0);
+        }
+    }
+}
+
+// DepthFunc::Never stands for the depth test off (it fails everything
+// with the test on, so it would exercise nothing).
+INSTANTIATE_TEST_SUITE_P(
+    ComposableFuncs, SubImageTest,
+    ::testing::Values(DepthFunc::Less, DepthFunc::LessEqual,
+                      DepthFunc::Greater, DepthFunc::GreaterEqual,
+                      DepthFunc::Always, DepthFunc::Never),
+    [](const auto &info) {
+        return info.param == DepthFunc::Never ? std::string("DepthTestOff")
+                                              : toString(info.param);
+    });
+
+TEST(Surface, SubImageResetClearsDepthAndMask)
+{
+    Surface sub = Surface::subImage(3, 2, 0.0f);
+    DrawStats st;
+    sub.applySubImageFragment(frag(2, 1, 0.5f), opaqueState(DepthFunc::Always),
+                              0, 0.5f, st);
+    ASSERT_TRUE(sub.writtenAt(2, 1));
+    EXPECT_EQ(sub.width(), 3);
+    EXPECT_EQ(sub.height(), 2);
+    sub.resetReadState(1.0f);
+    EXPECT_FALSE(sub.writtenAt(2, 1));
+    EXPECT_EQ(sub.depthAt(2, 1), 1.0f);
+    EXPECT_TRUE(sub.color().data().empty());
 }
 
 /** Depth-function truth table at the fragment level. */

@@ -15,14 +15,22 @@ testTrace()
     return trace;
 }
 
+/** A smaller grid whose width is no multiple of 8, so tiles end in
+ *  partial sub-tiles and partial mask words. */
+const FrameTrace &
+oddWidthTrace()
+{
+    static FrameTrace trace = generateBenchmark("grid", 32);
+    return trace;
+}
+
 FrameResult
-runWithPayload(CompPayload payload)
+runWithPayload(CompPayload payload, const FrameTrace &trace = testTrace())
 {
     SystemConfig cfg;
     cfg.num_gpus = 8;
     cfg.comp_payload = payload;
-    return runChopin(cfg, testTrace(),
-                     {DrawPolicy::FewestRemaining, true, false});
+    return runChopin(cfg, trace, {DrawPolicy::FewestRemaining, true, false});
 }
 
 TEST(CompPayload, GranularityOrdersTraffic)
@@ -38,6 +46,32 @@ TEST(CompPayload, GranularityOrdersTraffic)
     // Coarser payloads can only slow the frame down.
     EXPECT_LE(pixels.cycles, subtiles.cycles);
     EXPECT_LE(subtiles.cycles, tiles.cycles);
+}
+
+TEST(CompPayload, BytesArePinned)
+{
+    // The composition bytes of each payload granularity on this trace, as
+    // counted by a pixel-at-a-time scan of the written masks. The word-wise
+    // scan must count exactly the same pixels.
+    ASSERT_NE(oddWidthTrace().viewport.width % 8, 0);
+    struct Case
+    {
+        CompPayload payload;
+        Bytes bytes;
+        Bytes odd_bytes;
+    };
+    for (Case c : {Case{CompPayload::WrittenPixels, 1376312, 105728},
+                   Case{CompPayload::SubTiles, 2464768, 159680},
+                   Case{CompPayload::FullTiles, 8028160, 425552}}) {
+        FrameResult r = runWithPayload(c.payload);
+        EXPECT_EQ(r.traffic.ofClass(TrafficClass::Composition), c.bytes)
+            << toString(c.payload);
+        FrameResult odd = runWithPayload(c.payload, oddWidthTrace());
+        EXPECT_EQ(odd.traffic.ofClass(TrafficClass::Composition),
+                  c.odd_bytes)
+            << toString(c.payload) << " at width "
+            << oddWidthTrace().viewport.width;
+    }
 }
 
 TEST(CompPayload, GranularityNeverChangesTheImage)

@@ -45,6 +45,15 @@ machines.
 (bench, scheme) pairs are identical between two runs — e.g. a SIMD build
 against a forced-scalar build, or today's run against a stored baseline.
 
+--trajectory [REPO] reads no dump. It walks `git log` over every
+committed BENCH_*.json at the root of REPO (default: the current
+directory), oldest first, and prints one row per commit of each file:
+the workload, the metric tools/bench_pairs.py summarized, pairs won, the
+parent and change medians and their ratio. That is the perf trajectory
+across PRs:
+
+  python3 tools/bench_json.py --trajectory
+
 Standard library only.
 """
 
@@ -52,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 
 
@@ -152,10 +162,60 @@ def compare(data: dict, baseline: dict) -> int:
     return mismatches
 
 
+def trajectory(repo: str) -> int:
+    """Print every committed BENCH_*.json's pair medians across git log."""
+    def git(*argv: str) -> str:
+        return subprocess.run(["git", "-C", repo, *argv], capture_output=True,
+                              text=True, check=True).stdout
+
+    try:
+        names = sorted({n for n in git("log", "--format=", "--name-only",
+                                       "--", "BENCH_*.json").splitlines()
+                        if n and "/" not in n})
+    except (OSError, subprocess.CalledProcessError) as e:
+        sys.exit(f"trajectory: git log failed in {repo}: {e}")
+    if not names:
+        print(f"trajectory: no committed BENCH_*.json in {repo}")
+        return 0
+    for name in names:
+        print(f"# {name}")
+        print(f"{'commit':<10} {'date':<10} {'workload':<14} "
+              f"{'metric':<14} {'won':>6} {'parent':>10} {'change':>10} "
+              f"{'ratio':>7}")
+        for line in git("log", "--reverse", "--format=%h %cs", "--",
+                        name).splitlines():
+            commit, date = line.split()
+            prefix = f"{commit:<10} {date:<10}"
+            try:
+                doc = json.loads(git("show", f"{commit}:{name}"))
+            except subprocess.CalledProcessError:
+                print(f"{prefix} (deleted)")
+                continue
+            except json.JSONDecodeError:
+                print(f"{prefix} (not JSON)")
+                continue
+            s = doc.get("summary") if isinstance(doc, dict) else None
+            if not s:
+                print(f"{prefix} (no pair summary)")
+                continue
+            ratio = (s["change_median"] / s["parent_median"]
+                     if s["parent_median"] else float("nan"))
+            print(f"{prefix} {doc.get('workload', '?'):<14} "
+                  f"{s['metric']:<14} "
+                  f"{str(s['change_won']) + '/' + str(s['pairs']):>6} "
+                  f"{s['parent_median']:>10.4g} {s['change_median']:>10.4g} "
+                  f"{ratio:>6.3f}x")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("json_path",
+    parser.add_argument("json_path", nargs="?",
                         help="bench dump from perf_frame or sweep_all")
+    parser.add_argument("--trajectory", metavar="REPO", nargs="?",
+                        const=".", default=None,
+                        help="print the committed BENCH_*.json medians "
+                             "across git log in REPO (default: .)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail if the selected speedup series is below "
                              "this bound")
@@ -169,6 +229,10 @@ def main() -> int:
                         help="check hashes/cycles against another dump")
     args = parser.parse_args()
 
+    if args.trajectory is not None:
+        return trajectory(args.trajectory)
+    if args.json_path is None:
+        parser.error("a bench dump is required unless --trajectory is given")
     data = load(args.json_path)
     report(data)
 

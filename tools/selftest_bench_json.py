@@ -20,6 +20,10 @@ still reject bad inputs, using fixture dumps under tests/data/bench_json/:
                     corrupted — what a determinism regression looks like —
                     and without the raster/stream series keys (an old
                     dump)
+  pairs_v1.json,    two tools/bench_pairs.py documents (wall_s medians
+  pairs_v2.json     9.0 -> 7.5, then 7.5 -> 6.0), committed one after the
+                    other as BENCH_demo.json in a scratch git repository
+                    to test --trajectory
 
 Registered as the `bench_json_selftest` ctest. Usage:
 
@@ -29,8 +33,10 @@ Registered as the `bench_json_selftest` ctest. Usage:
 from __future__ import annotations
 
 import pathlib
+import shutil
 import subprocess
 import sys
+import tempfile
 
 FAILED = 0
 
@@ -55,6 +61,40 @@ def expect(name: str, proc: subprocess.CompletedProcess,
         print(output.rstrip())
     else:
         print(f"ok: {name}")
+
+
+def checkTrajectory(root: pathlib.Path, data: pathlib.Path) -> None:
+    """--trajectory over a scratch repository with two BENCH commits."""
+    global FAILED
+    with tempfile.TemporaryDirectory() as tmp:
+        def git(*argv: str) -> None:
+            subprocess.run(["git", "-C", tmp, "-c", "user.name=selftest",
+                            "-c", "user.email=selftest@example.com",
+                            *argv], check=True, capture_output=True)
+
+        git("init", "-q")
+        (pathlib.Path(tmp) / "README").write_text("not a bench file\n")
+        git("add", "README")
+        git("commit", "-q", "-m", "no bench yet")
+        expect("trajectory without BENCH files",
+               runTool(root, "--trajectory", tmp), want_exit=0,
+               want_in_output="no committed BENCH_*.json")
+        for version in ("pairs_v1.json", "pairs_v2.json"):
+            shutil.copy(data / version, pathlib.Path(tmp) / "BENCH_demo.json")
+            git("add", "BENCH_demo.json")
+            git("commit", "-q", "-m", version)
+        proc = runTool(root, "--trajectory", tmp)
+        expect("trajectory lists the first point", proc, want_exit=0,
+               want_in_output="10/10          9        7.5  0.833x")
+        expect("trajectory lists the second point", proc, want_exit=0,
+               want_in_output="9/10        7.5          6  0.800x")
+        out = proc.stdout
+        if out.find("0.833x") > out.find("0.800x"):
+            FAILED += 1
+            print("FAIL: trajectory is not oldest first")
+            print(out.rstrip())
+        else:
+            print("ok: trajectory is oldest first")
 
 
 def main() -> int:
@@ -156,6 +196,11 @@ def main() -> int:
     expect("malformed dump rejected",
            runTool(root, str(data / "run_malformed.json")),
            want_exit=1, want_in_output="missing key")
+
+    if shutil.which("git") is not None:
+        checkTrajectory(root, data)
+    else:
+        print("skip: --trajectory needs git")
 
     print(f"bench_json self-test: {FAILED} failure(s)")
     return 1 if FAILED else 0
