@@ -114,15 +114,10 @@ ScreenTriangle::boundingBox(int width, int height, int &x0, int &y0, int &x1,
     y1 = std::min(height - 1, static_cast<int>(std::ceil(fy1)));
 }
 
-namespace
-{
-
-/** Shared body of the two processPrimitive() overloads; @p emit receives
- *  each surviving screen triangle. */
-template <typename Emit>
 void
-processPrimitiveImpl(const Triangle &tri, const Mat4 &mvp, const Viewport &vp,
-                     bool backface_cull, Emit &&emit, DrawStats &stats)
+processPrimitive(const Triangle &tri, const Mat4 &mvp, const Viewport &vp,
+                 bool backface_cull, std::vector<ScreenTriangle> &out,
+                 DrawStats &stats)
 {
     stats.tris_in += 1;
     stats.verts_shaded += 3;
@@ -161,35 +156,9 @@ processPrimitiveImpl(const Triangle &tri, const Mat4 &mvp, const Viewport &vp,
             stats.tris_culled += 1;
             continue;
         }
-        emit(st);
+        out.push_back(st);
         stats.tris_rasterized += 1;
     }
-}
-
-} // namespace
-
-void
-processPrimitive(const Triangle &tri, const Mat4 &mvp, const Viewport &vp,
-                 bool backface_cull, std::vector<ScreenTriangle> &out,
-                 DrawStats &stats)
-{
-    processPrimitiveImpl(tri, mvp, vp, backface_cull,
-                         [&out](const ScreenTriangle &st) {
-                             out.push_back(st);
-                         },
-                         stats);
-}
-
-void
-processPrimitive(const Triangle &tri, const Mat4 &mvp, const Viewport &vp,
-                 bool backface_cull, ScreenTriangle *out, std::size_t &count,
-                 DrawStats &stats)
-{
-    processPrimitiveImpl(tri, mvp, vp, backface_cull,
-                         [out, &count](const ScreenTriangle &st) {
-                             out[count++] = st;
-                         },
-                         stats);
 }
 
 double

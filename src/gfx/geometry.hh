@@ -9,7 +9,6 @@
 #ifndef CHOPIN_GFX_GEOMETRY_HH
 #define CHOPIN_GFX_GEOMETRY_HH
 
-#include <cstddef>
 #include <vector>
 
 #include "gfx/state.hh"
@@ -121,25 +120,14 @@ struct Viewport
  * @param mvp       combined model-view-projection matrix
  * @param vp        target viewport
  * @param backface_cull drop clockwise (in screen space) triangles
- * @param[out] out  zero, one or two screen triangles (near-plane clipping
- *                  of a triangle with one vertex behind the plane yields two)
+ * @param[out] out  receives zero, one or two appended screen triangles
+ *                  (near-plane clipping of a triangle with one vertex
+ *                  behind the plane yields two)
  * @param[in,out] stats clip/cull counters are updated
  */
 void processPrimitive(const Triangle &tri, const Mat4 &mvp,
                       const Viewport &vp, bool backface_cull,
                       std::vector<ScreenTriangle> &out, DrawStats &stats);
-
-/**
- * Slab overload: appends at @p out[count], advancing @p count. The caller
- * guarantees room for two more triangles (one primitive emits at most two
- * after near-plane clipping). This is the allocation-free form the
- * renderer's geometry stage uses: it fills a worst-case arena slab sized
- * once per draw, so no allocator is touched per primitive.
- */
-void processPrimitive(const Triangle &tri, const Mat4 &mvp,
-                      const Viewport &vp, bool backface_cull,
-                      ScreenTriangle *out, std::size_t &count,
-                      DrawStats &stats);
 
 /**
  * Approximate screen coverage (in pixels) of a screen triangle; used by the

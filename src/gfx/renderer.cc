@@ -33,15 +33,9 @@ runGeometry(std::span<const Triangle> tris, const Mat4 &mvp,
             const Viewport &vp, bool backface_cull, RenderScratch &scratch,
             DrawStats &stats)
 {
-    // One slab for the worst case: a primitive emits at most two screen
-    // triangles (near-plane clip of one-vertex-behind yields a quad).
-    scratch.screen_tris.clear();
-    scratch.screen_tris.resizeUninitialized(2 * tris.size());
-    ScreenTriangle *slab = scratch.screen_tris.data();
-    std::size_t count = 0;
     for (const Triangle &tri : tris)
-        processPrimitive(tri, mvp, vp, backface_cull, slab, count, stats);
-    scratch.screen_tris.shrinkTo(count);
+        processPrimitive(tri, mvp, vp, backface_cull, scratch.screen_tris,
+                         stats);
 }
 
 void
@@ -74,7 +68,7 @@ binTriangles(RenderScratch &scratch, const BinGrid &bins, const Viewport &vp)
         scratch.bin_counts[b] = total;
         total += count;
     }
-    scratch.bin_tris.resizeUninitialized(total);
+    scratch.bin_tris.resize(total);
 
     for (std::uint32_t idx : scratch.kept) {
         PixelRect r =

@@ -25,7 +25,6 @@
 #include "gfx/geometry.hh"
 #include "gfx/surface.hh"
 #include "gfx/tiles.hh"
-#include "util/arena.hh"
 
 namespace chopin
 {
@@ -76,10 +75,10 @@ struct DrawInput
 /**
  * Reusable per-thread scratch for the renderer: geometry outputs, the
  * coarse-filter keep list and the tile-bucket CSR that perfbench's binning
- * layer builds. All of it lives on one bump @ref Arena that beginDraw()
- * rewinds — after the arena warms up to the largest draw seen, a draw
- * performs zero heap allocations. Obtain via threadRenderScratch(); never
- * share one instance across threads.
+ * layer builds. beginDraw() clears every vector but keeps its capacity, so
+ * once the vectors have grown to the largest draw seen a draw performs
+ * zero heap allocations. Obtain via threadRenderScratch(); never share one
+ * instance across threads.
  *
  * Ownership contract (the per-thread half of the static-analysis layer,
  * see util/sequential.hh for the coordinator half): a RenderScratch is
@@ -92,32 +91,25 @@ struct DrawInput
  */
 struct RenderScratch
 {
-    /** Backing store for every member below; rewound by beginDraw(). */
-    Arena arena;
-
     /** Post-geometry screen triangles in draw order. */
-    ArenaVector<ScreenTriangle> screen_tris;
+    std::vector<ScreenTriangle> screen_tris;
     /** Indices into screen_tris that survive the coarse filter. */
-    ArenaVector<std::uint32_t> kept;
+    std::vector<std::uint32_t> kept;
 
     // --- tile-bucket CSR (rebuilt per draw by binTriangles) --------------
-    ArenaVector<std::uint32_t> bin_counts; ///< per bin, then CSR offsets
-    ArenaVector<std::uint32_t> bin_tris;   ///< bucket payload: tri indices
-    ArenaVector<std::uint32_t> dense_bins; ///< nonempty bin ids
+    std::vector<std::uint32_t> bin_counts; ///< per bin, then CSR offsets
+    std::vector<std::uint32_t> bin_tris;   ///< bucket payload: tri indices
+    std::vector<std::uint32_t> dense_bins; ///< nonempty bin ids
 
-    /**
-     * Start a draw: invalidate the previous draw's transients and rebind
-     * every vector to the rewound arena.
-     */
+    /** Start a draw: drop the previous draw's contents, keep capacity. */
     void
     beginDraw()
     {
-        arena.reset();
-        screen_tris.attach(arena);
-        kept.attach(arena);
-        bin_counts.attach(arena);
-        bin_tris.attach(arena);
-        dense_bins.attach(arena);
+        screen_tris.clear();
+        kept.clear();
+        bin_counts.clear();
+        bin_tris.clear();
+        dense_bins.clear();
     }
 };
 

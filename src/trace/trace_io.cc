@@ -1,7 +1,9 @@
 #include "trace/trace_io.hh"
 
+#include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 
 #include "util/fingerprint.hh"
 #include "util/log.hh"
@@ -149,6 +151,39 @@ constexpr std::uint64_t kFrameKeyMinBytes =
 constexpr std::uint64_t kOverrideBytes =
     sizeof(std::uint32_t) + sizeof(Mat4);
 
+/**
+ * Read a draw's RasterState, checking its raw bytes before they become
+ * one: an enum byte must name an enumerator and a bool byte must be 0 or
+ * 1 (any other value is undefined behaviour once loaded as the type).
+ */
+bool
+getRasterState(Reader &r, RasterState &state)
+{
+    static_assert(std::is_standard_layout_v<RasterState>);
+    unsigned char raw[sizeof(RasterState)];
+    if (!r.getBytes(raw, sizeof(raw)))
+        return false;
+    auto valid = [&](std::size_t offset, auto last, const char *name) {
+        static_assert(sizeof(last) == 1);
+        return raw[offset] <= static_cast<unsigned>(last) ||
+               r.fail(std::string("invalid ") + name + " byte " +
+                      std::to_string(raw[offset]));
+    };
+    using S = RasterState;
+    if (!valid(offsetof(S, depth_test), true, "depth_test") ||
+        !valid(offsetof(S, depth_write), true, "depth_write") ||
+        !valid(offsetof(S, depth_func), DepthFunc::Always, "depth_func") ||
+        !valid(offsetof(S, blend_op), BlendOp::Multiply, "blend_op") ||
+        !valid(offsetof(S, shader_discard), true, "shader_discard") ||
+        !valid(offsetof(S, stencil_test), true, "stencil_test") ||
+        !valid(offsetof(S, stencil_func), DepthFunc::Always, "stencil_func") ||
+        !valid(offsetof(S, stencil_pass_op), StencilOp::Zero,
+               "stencil_pass_op"))
+        return false;
+    std::memcpy(&state, raw, sizeof(raw));
+    return true;
+}
+
 /** The shared per-frame payload: identical layout in v3 and the v4 base. */
 void
 putFrameBody(std::ostream &os, const FrameTrace &trace)
@@ -188,6 +223,21 @@ getFrameBody(Reader &r, FrameTrace &trace)
         !r.get(trace.clear_depth) || !r.get(trace.num_render_targets) ||
         !r.get(trace.num_depth_buffers))
         return false;
+    const Viewport &vp = trace.viewport;
+    if (vp.width < 1 || vp.width > maxTraceViewportSide || vp.height < 1 ||
+        vp.height > maxTraceViewportSide)
+        return r.fail("viewport " + std::to_string(vp.width) + "x" +
+                      std::to_string(vp.height) + " outside [1, " +
+                      std::to_string(maxTraceViewportSide) + "] per side");
+    if (trace.num_render_targets < 1 ||
+        trace.num_render_targets > maxTraceRenderTargets ||
+        trace.num_depth_buffers < 1 ||
+        trace.num_depth_buffers > maxTraceRenderTargets)
+        return r.fail(std::to_string(trace.num_render_targets) +
+                      " render targets and " +
+                      std::to_string(trace.num_depth_buffers) +
+                      " depth buffers; each count must be in [1, " +
+                      std::to_string(maxTraceRenderTargets) + "]");
     std::uint64_t n_draws = 0;
     if (!r.get(n_draws))
         return false;
@@ -197,10 +247,28 @@ getFrameBody(Reader &r, FrameTrace &trace)
         return false;
     trace.draws.resize(n_draws);
     for (DrawCommand &d : trace.draws) {
-        if (!r.get(d.id) || !r.get(d.state) || !r.get(d.model) ||
-            !r.get(d.alpha_ref) || !r.get(d.backface_cull) ||
-            !r.get(d.texture_rt))
+        std::uint8_t cull = 0;
+        if (!r.get(d.id) || !getRasterState(r, d.state) || !r.get(d.model) ||
+            !r.get(d.alpha_ref) || !r.get(cull) || !r.get(d.texture_rt))
             return false;
+        if (cull > 1)
+            return r.fail("invalid backface_cull byte " +
+                          std::to_string(cull));
+        d.backface_cull = cull != 0;
+        // Bindings must name existing surfaces, and SimContext::textureFor
+        // requires that a draw not sample the target it writes.
+        const RasterState &s = d.state;
+        if (s.render_target >= trace.num_render_targets ||
+            s.depth_buffer >= trace.num_depth_buffers || d.texture_rt < -1 ||
+            d.texture_rt >= std::int64_t(trace.num_render_targets) ||
+            d.texture_rt == std::int64_t(s.render_target))
+            return r.fail(
+                "draw " + std::to_string(d.id) + " writes render target " +
+                std::to_string(s.render_target) + " with depth buffer " +
+                std::to_string(s.depth_buffer) + " and samples " +
+                std::to_string(d.texture_rt) + "; the frame has " +
+                std::to_string(trace.num_render_targets) + " and " +
+                std::to_string(trace.num_depth_buffers));
         std::uint64_t n_tris = 0;
         if (!r.get(n_tris))
             return false;

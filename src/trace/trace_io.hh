@@ -18,6 +18,13 @@
  *    valid but unspecified. A declared count is checked against the bytes
  *    left in the file before anything is allocated for it, so a small
  *    corrupt file cannot demand a large allocation.
+ *  - load*() also rejects, before allocating for them, frames the
+ *    simulator could not run: a viewport side outside
+ *    [1, maxTraceViewportSide], a render-target or depth-buffer count
+ *    outside [1, maxTraceRenderTargets], a draw whose render target,
+ *    depth buffer or sampled render target is out of range (or samples
+ *    the target it writes), and a raster-state or cull byte that names no
+ *    enumerator or is a bool other than 0/1.
  *  - Version upgrades are automatic where meaning-preserving:
  *    loadSequence() reads a v3 single-frame file as a 1-frame sequence
  *    (sequenceFromFrame), and loadTrace() reads a v4 file whose sequence
@@ -29,6 +36,7 @@
 #ifndef CHOPIN_TRACE_TRACE_IO_HH
 #define CHOPIN_TRACE_TRACE_IO_HH
 
+#include <cstdint>
 #include <string>
 
 #include "trace/draw_command.hh"
@@ -36,6 +44,12 @@
 
 namespace chopin
 {
+
+/** Largest viewport side a trace may declare (the D3D11 texture limit). */
+inline constexpr int maxTraceViewportSide = 16384;
+
+/** Most render targets, and most depth buffers, a trace may declare. */
+inline constexpr std::uint32_t maxTraceRenderTargets = 16;
 
 /** Serialize @p trace to @p path (format v3). @return false on IO failure. */
 bool saveTrace(const FrameTrace &trace, const std::string &path);

@@ -81,7 +81,8 @@ class ThreadPool
 };
 
 /**
- * The process-wide pool used by the rendering engine. Sized on first use
+ * The process-wide pool on which the stream pipeline (sfr/sequence.cc)
+ * runs its frames in parallel; a frame itself is serial. Sized on first use
  * from defaultJobs(); resized by setGlobalJobs(). Never call from a
  * destructor that may run after main().
  */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-thread renderer scratch reuse. Each simulating thread keeps one
- * RenderScratch (gfx/renderer.hh) whose arena is rewound, not freed,
+ * RenderScratch (gfx/renderer.hh) whose vectors are cleared, not freed,
  * between draws; the second frame on a thread therefore runs entirely on
  * recycled storage and must not see anything the first one left behind.
  *
@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "gfx/renderer.hh"
 #include "sfr/schemes.hh"
 #include "stats/metrics.hh"
 #include "trace/generator.hh"
@@ -36,6 +39,34 @@ TEST(ParallelDeterminism, RendererScratchIsReusedAcrossDraws)
     EXPECT_TRUE(metricsEqual(fa, fb))
         << "differing metrics: "
         << ::testing::PrintToString(metricsDiff(fa, fb));
+}
+
+TEST(ParallelDeterminism, SteadyStateDrawsAllocateNoScratch)
+{
+    // The first frame grows the thread's scratch to the largest draw it
+    // holds; rendering the same frame again must fit in that capacity, so
+    // a draw in steady state performs no heap allocation for it.
+    SystemConfig cfg;
+    cfg.num_gpus = 4;
+    FrameTrace trace = generateBenchmark("nfs", 32);
+    runScheme(Scheme::Chopin, cfg, trace);
+    const RenderScratch &scratch = threadRenderScratch();
+    const ScreenTriangle *data = scratch.screen_tris.data();
+    std::size_t capacity = scratch.screen_tris.capacity();
+    ASSERT_GT(capacity, 0u);
+
+    runScheme(Scheme::Chopin, cfg, trace);
+    EXPECT_EQ(scratch.screen_tris.data(), data);
+    EXPECT_EQ(scratch.screen_tris.capacity(), capacity);
+
+    // The capacity is kept across draws, not given back and regrown: a
+    // frame of one-triangle draws leaves it as the larger frame left it.
+    FrameTrace small = trace;
+    for (DrawCommand &d : small.draws)
+        d.triangles.resize(std::min<std::size_t>(d.triangles.size(), 1));
+    runScheme(Scheme::Chopin, cfg, small);
+    EXPECT_EQ(scratch.screen_tris.data(), data);
+    EXPECT_EQ(scratch.screen_tris.capacity(), capacity);
 }
 
 } // namespace

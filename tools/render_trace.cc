@@ -78,9 +78,11 @@ main(int argc, char **argv)
     if (!trace_out.empty())
         checkWritablePath(trace_out, "--trace-out");
 
+    // A malformed trace is bad input like a malformed flag: loadTrace()
+    // names the problem, and the tool exits 2.
     FrameTrace trace;
-    if (!loadTrace(trace, cli.positional()[0]))
-        fatal("cannot open '", cli.positional()[0], "'");
+    CHOPIN_CHECK(loadTrace(trace, cli.positional()[0]), "cannot load '",
+                 cli.positional()[0], "'");
 
     long gpus = cli.getInt("gpus");
     CHOPIN_CHECK(gpus >= 1 && gpus <= 64,

@@ -14,11 +14,16 @@
 #include <iostream>
 
 #include "core/chopin.hh"
+#include "util/check.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace chopin;
+
+    // Malformed arguments and trace files produce a "trace_info: error:
+    // ..." line and exit code 2.
+    setCliCheckTool("trace_info");
 
     CommandLine cli("inspect a CHOPIN trace file");
     cli.addFlag("threshold", "4096",
@@ -28,8 +33,8 @@ main(int argc, char **argv)
         fatal("usage: trace_info <file.trace> [--threshold=N]");
 
     SequenceTrace seq;
-    if (!loadSequence(seq, cli.positional()[0]))
-        fatal("cannot open '", cli.positional()[0], "'");
+    CHOPIN_CHECK(loadSequence(seq, cli.positional()[0]), "cannot load '",
+                 cli.positional()[0], "'");
     const FrameTrace &trace = seq.base;
 
     if (seq.frameCount() > 1) {
